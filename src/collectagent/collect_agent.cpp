@@ -276,16 +276,10 @@ std::vector<Reading> CollectAgent::query_stored(const std::string& topic,
                                                 TimestampNs t0,
                                                 TimestampNs t1) const {
     SensorId sid;
-    if (!mapper_.lookup(topic, sid) || t1 < t0) return {};
+    if (!mapper_.lookup(topic, sid)) return {};
     std::vector<Reading> out;
-    for (std::uint32_t bucket = time_bucket(t0);; ++bucket) {
-        store::Key key;
-        key.sid = sid.bytes;
-        key.bucket = bucket;
-        for (const auto& row : cluster_->query(key, t0, t1))
-            out.push_back({row.ts, row.value});
-        if (bucket == time_bucket(t1)) break;
-    }
+    for (const auto& row : cluster_->query_range(sid.bytes, t0, t1))
+        out.push_back({row.ts, row.value});
     return out;
 }
 

@@ -56,13 +56,8 @@ struct SensorIdHash {
     }
 };
 
-/// Width of one store partition in time: a sensor's series is split into
-/// day-sized buckets, as in DCDB's production Cassandra schema.
-inline constexpr TimestampNs kBucketWidthNs = 24ull * 3600 * kNsPerSec;
-
-inline std::uint32_t time_bucket(TimestampNs ts) {
-    return static_cast<std::uint32_t>(ts / kBucketWidthNs);
-}
+using store::kBucketWidthNs;
+using store::time_bucket;
 
 /// Partition key for a reading of `sid` at time `ts`.
 inline store::Key sensor_key(const SensorId& sid, TimestampNs ts) {

@@ -36,8 +36,9 @@ class Connection {
     MetadataStore& metadata() { return metadata_store_; }
     store::StoreCluster& cluster() { return cluster_; }
 
-    /// Raw stored readings (integer values, no scaling). Iterates all
-    /// time buckets intersecting [t0, t1]. Unknown sensors yield {}.
+    /// Raw stored readings (integer values, no scaling): one
+    /// StoreCluster::query_range over the sensor's stored buckets in
+    /// [t0, t1]. Unknown sensors yield {}.
     std::vector<Reading> query_raw(const std::string& topic, TimestampNs t0,
                                    TimestampNs t1) const;
 

@@ -196,27 +196,47 @@ void HttpServer::stop() {
     if (stopping_.exchange(true)) return;
     listener_.close();
     if (accept_thread_.joinable()) accept_thread_.join();
-    std::vector<std::thread> workers;
+    std::vector<Worker> workers;
     {
         std::scoped_lock lock(workers_mutex_);
         workers.swap(workers_);
     }
     for (auto& w : workers) {
-        if (w.joinable()) w.join();
+        if (w.thread.joinable()) w.thread.join();
     }
+}
+
+std::size_t HttpServer::worker_count() {
+    std::scoped_lock lock(workers_mutex_);
+    return workers_.size();
+}
+
+void HttpServer::reap_finished_workers() {
+    std::scoped_lock lock(workers_mutex_);
+    std::erase_if(workers_, [](Worker& w) {
+        if (!w.done->load(std::memory_order_acquire)) return false;
+        w.thread.join();  // the worker has returned; this is its exit
+        return true;
+    });
 }
 
 void HttpServer::accept_loop() {
     while (!stopping_.load(std::memory_order_relaxed)) {
         auto stream = listener_.accept();
+        // Reap before every spawn, and on each idle accept timeout, so a
+        // server fed `Connection: close` clients holds only the workers
+        // still serving.
+        reap_finished_workers();
         if (!stream) continue;
+        auto done = std::make_unique<std::atomic<bool>>(false);
+        std::atomic<bool>* flag = done.get();
         std::scoped_lock lock(workers_mutex_);
-        // Reap finished workers opportunistically so long-lived servers do
-        // not accumulate joinable threads.
-        workers_.emplace_back(
-            [this, s = std::move(*stream)]() mutable {
-                serve_connection(std::move(s));
-            });
+        workers_.push_back(
+            {std::thread([this, flag, s = std::move(*stream)]() mutable {
+                 serve_connection(std::move(s));
+                 flag->store(true, std::memory_order_release);
+             }),
+             std::move(done)});
     }
 }
 

@@ -77,8 +77,21 @@ class HttpServer {
     std::uint16_t port() const { return port_; }
     void stop();
 
+    /// Connection workers not yet joined: the ones still serving plus
+    /// finished ones the accept loop has not reaped yet.
+    std::size_t worker_count();
+
   private:
+    struct Worker {
+        std::thread thread;
+        /// Set by the worker as its last act; the accept loop joins
+        /// finished workers so each closed connection's thread and stack
+        /// are released instead of piling up until stop().
+        std::unique_ptr<std::atomic<bool>> done;
+    };
+
     void accept_loop();
+    void reap_finished_workers();
     void serve_connection(TcpStream stream);
 
     HttpHandler handler_;
@@ -90,7 +103,7 @@ class HttpServer {
     std::atomic<bool> stopping_{false};
     std::thread accept_thread_;
     std::mutex workers_mutex_;
-    std::vector<std::thread> workers_;
+    std::vector<Worker> workers_;
 };
 
 /// Blocking single-request client. Throws NetError on transport errors.

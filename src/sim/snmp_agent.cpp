@@ -293,8 +293,10 @@ void SnmpAgentSim::serve_loop() {
                 }
             }
             const auto out = snmp_encode(resp);
+            // Count before replying: a client holding the reply must
+            // already see the request counted.
+            served_.fetch_add(1);
             socket_.send_to(out, *from);
-            served_.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& e) {
             DCDB_DEBUG("snmp-sim") << "dropped malformed request: "
                                    << e.what();

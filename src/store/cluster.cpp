@@ -1,5 +1,8 @@
 #include "store/cluster.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/error.hpp"
 
 namespace dcdb::store {
@@ -93,6 +96,31 @@ bool StoreCluster::writable() const {
 std::vector<Row> StoreCluster::query(const Key& key, TimestampNs t0,
                                      TimestampNs t1) const {
     return nodes_[primary_node(key)]->query(key, t0, t1);
+}
+
+std::vector<Row> StoreCluster::query_range(const SidBytes& sid,
+                                           TimestampNs t0,
+                                           TimestampNs t1) const {
+    std::vector<PartitionRows> parts;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        auto owned = nodes_[i]->query_range(
+            sid, t0, t1,
+            [this, i](const Key& key) { return primary_node(key) == i; });
+        std::move(owned.begin(), owned.end(), std::back_inserter(parts));
+    }
+    // Each bucket has one primary, so the per-node answers are disjoint;
+    // ordering them by bucket restores the series' timestamp order.
+    std::sort(parts.begin(), parts.end(),
+              [](const PartitionRows& a, const PartitionRows& b) {
+                  return a.key < b.key;
+              });
+    std::size_t total = 0;
+    for (const auto& part : parts) total += part.rows.size();
+    std::vector<Row> out;
+    out.reserve(total);
+    for (const auto& part : parts)
+        out.insert(out.end(), part.rows.begin(), part.rows.end());
+    return out;
 }
 
 std::vector<Row> StoreCluster::query_replica(std::size_t replica_index,

@@ -88,6 +88,14 @@ class StoreCluster {
     std::vector<Row> query(const Key& key, TimestampNs t0,
                            TimestampNs t1) const;
 
+    /// One sensor's rows in [t0, t1] in timestamp order: every node
+    /// seeks the sensor's stored day-buckets and answers for the buckets
+    /// it is primary for, so the result equals querying each bucket's
+    /// primary (query()) for every bucket in range, under any partitioner
+    /// and replication. Empty when t1 < t0.
+    std::vector<Row> query_range(const SidBytes& sid, TimestampNs t0,
+                                 TimestampNs t1) const;
+
     /// Query a specific replica (for replication tests / failure drills).
     std::vector<Row> query_replica(std::size_t replica_index, const Key& key,
                                    TimestampNs t0, TimestampNs t1) const;

@@ -12,11 +12,24 @@
 #include <cstring>
 #include <functional>
 
+#include "common/types.hpp"
+
 namespace dcdb::store {
 
+/// Width of one partition in time: a sensor's series is split into
+/// day-sized buckets, as in DCDB's production Cassandra schema.
+inline constexpr TimestampNs kBucketWidthNs = 24ull * 3600 * kNsPerSec;
+
+inline std::uint32_t time_bucket(TimestampNs ts) {
+    return static_cast<std::uint32_t>(ts / kBucketWidthNs);
+}
+
+/// The 128-bit sensor id a partition key starts with.
+using SidBytes = std::array<std::uint8_t, 16>;
+
 struct Key {
-    std::array<std::uint8_t, 16> sid{};  // 128-bit sensor id
-    std::uint32_t bucket{0};             // coarse time bucket
+    SidBytes sid{};             // 128-bit sensor id
+    std::uint32_t bucket{0};    // coarse time bucket
 
     friend bool operator==(const Key&, const Key&) = default;
     friend auto operator<=>(const Key& a, const Key& b) {
@@ -45,6 +58,9 @@ struct Key {
         return k;
     }
 };
+
+/// Partition selector for range reads; an empty filter keeps every key.
+using KeyFilter = std::function<bool(const Key&)>;
 
 struct KeyHash {
     std::size_t operator()(const Key& k) const {

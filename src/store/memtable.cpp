@@ -30,15 +30,20 @@ void Memtable::insert(const Key& key, const Row& row) {
     }
 }
 
-void Memtable::query(const Key& key, TimestampNs t0, TimestampNs t1,
-                     std::vector<Row>& out) const {
-    const auto it = partitions_.find(key);
-    if (it == partitions_.end()) return;
-    const auto& rows = it->second;
-    const auto lo = std::lower_bound(
-        rows.begin(), rows.end(), t0,
-        [](const Row& r, TimestampNs t) { return r.ts < t; });
-    for (auto i = lo; i != rows.end() && i->ts <= t1; ++i) out.push_back(*i);
+void Memtable::query_range(const Key& first, const Key& last, TimestampNs t0,
+                           TimestampNs t1, const KeyFilter& keep,
+                           std::vector<PartitionRows>& out) const {
+    for (auto it = partitions_.lower_bound(first);
+         it != partitions_.end() && !(last < it->first); ++it) {
+        if (keep && !keep(it->first)) continue;
+        const auto& rows = it->second;
+        const auto lo = std::lower_bound(
+            rows.begin(), rows.end(), t0,
+            [](const Row& r, TimestampNs t) { return r.ts < t; });
+        auto hi = lo;
+        while (hi != rows.end() && hi->ts <= t1) ++hi;
+        if (lo != hi) out.push_back({it->first, std::vector<Row>(lo, hi)});
+    }
 }
 
 void Memtable::clear() {

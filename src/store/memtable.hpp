@@ -19,9 +19,13 @@ class Memtable {
   public:
     void insert(const Key& key, const Row& row);
 
-    /// Rows in [t0, t1] for `key`, appended to `out` in timestamp order.
-    void query(const Key& key, TimestampNs t0, TimestampNs t1,
-               std::vector<Row>& out) const;
+    /// Rows in [t0, t1] of every partition with a key in [first, last]
+    /// that `keep` accepts: one entry per non-empty partition, appended
+    /// to `out` in key order. Seeks to `first`, so the cost follows the
+    /// partitions that exist, not the width of the key range.
+    void query_range(const Key& first, const Key& last, TimestampNs t0,
+                     TimestampNs t1, const KeyFilter& keep,
+                     std::vector<PartitionRows>& out) const;
 
     /// Sorted contents, consumed by the SSTable writer.
     const std::map<Key, std::vector<Row>>& partitions() const {

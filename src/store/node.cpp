@@ -20,39 +20,33 @@ namespace fs = std::filesystem;
 
 StorageNode::StorageNode(NodeConfig config)
     : config_(std::move(config)),
-      writes_(telemetry::resolve_registry(config_.registry, owned_registry_)
-                  .counter(config_.metric_prefix + ".writes")),
-      reads_(telemetry::resolve_registry(config_.registry, owned_registry_)
-                 .counter(config_.metric_prefix + ".reads")),
-      flushes_(telemetry::resolve_registry(config_.registry, owned_registry_)
-                   .counter(config_.metric_prefix + ".flushes")),
-      compactions_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter(config_.metric_prefix + ".compactions")),
-      bloom_checks_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter(config_.metric_prefix + ".bloom.checks")),
+      registry_(telemetry::resolve_registry(config_.registry,
+                                            owned_registry_)),
+      writes_(registry_.counter(config_.metric_prefix + ".writes")),
+      reads_(registry_.counter(config_.metric_prefix + ".reads")),
+      flushes_(registry_.counter(config_.metric_prefix + ".flushes")),
+      compactions_(registry_.counter(config_.metric_prefix + ".compactions")),
+      bloom_checks_(registry_.counter(config_.metric_prefix + ".bloom.checks")),
       bloom_negatives_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter(config_.metric_prefix + ".bloom.negatives")),
+          registry_.counter(config_.metric_prefix + ".bloom.negatives")),
       compaction_tables_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter(config_.metric_prefix + ".compaction.tables")),
+          registry_.counter(config_.metric_prefix + ".compaction.tables")),
       compaction_bytes_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .counter(config_.metric_prefix + ".compaction.bytes")),
+          registry_.counter(config_.metric_prefix + ".compaction.bytes")),
+      query_partitions_(
+          registry_.counter(config_.metric_prefix + ".query.partitions")),
+      query_tables_(registry_.counter(config_.metric_prefix + ".query.tables")),
+      query_blocks_(registry_.counter(config_.metric_prefix + ".query.blocks")),
+      query_latency_(
+          registry_.histogram(config_.metric_prefix + ".query.latency")),
       flush_latency_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .histogram(config_.metric_prefix + ".flush.latency")),
+          registry_.histogram(config_.metric_prefix + ".flush.latency")),
       compaction_latency_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .histogram(config_.metric_prefix + ".compaction.latency")),
+          registry_.histogram(config_.metric_prefix + ".compaction.latency")),
       compaction_stall_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .histogram(config_.metric_prefix + ".compaction.stall")),
-      commitlog_sync_latency_(
-          telemetry::resolve_registry(config_.registry, owned_registry_)
-              .histogram(config_.metric_prefix + ".commitlog.sync.latency")) {
+          registry_.histogram(config_.metric_prefix + ".compaction.stall")),
+      commitlog_sync_latency_(registry_.histogram(
+          config_.metric_prefix + ".commitlog.sync.latency")) {
     if (config_.data_dir.empty()) throw StoreError("data_dir required");
     fs::create_directories(config_.data_dir);
 
@@ -218,40 +212,15 @@ void StorageNode::insert_batch(std::span<const BatchEntry> entries,
     }
 }
 
-std::vector<Row> StorageNode::query(const Key& key, TimestampNs t0,
-                                    TimestampNs t1) const {
-    reads_.add(1);
-    ReaderLock lock(mutex_);
+namespace {
 
-    // Gather per-source sorted runs, newest source first: the memtable,
-    // then SSTables newest-to-oldest. Each run is already sorted by
-    // timestamp, so the merged result falls out of one k-way pass with
-    // first-source-wins shadowing — no per-row map inserts.
-    std::vector<std::vector<Row>> sources;
-    sources.reserve(sstables_.size() + 1);
-    {
-        std::vector<Row> rows;
-        memtable_.query(key, t0, t1, rows);
-        if (!rows.empty()) sources.push_back(std::move(rows));
-    }
-    for (auto it = sstables_.rbegin(); it != sstables_.rend(); ++it) {
-        // Bloom effectiveness: every negative is one SSTable probe the
-        // filter saved. The node probes once per table; SsTable::query
-        // deliberately does not re-check (the second probe would skew
-        // these counters and cost a redundant hash).
-        bloom_checks_.add(1);
-        if (!(*it)->may_contain(key)) {
-            bloom_negatives_.add(1);
-            continue;
-        }
-        std::vector<Row> rows;
-        (*it)->query(key, t0, t1, rows);
-        if (!rows.empty()) sources.push_back(std::move(rows));
-    }
-
-    const TimestampNs now = now_ns();
+/// Newest-wins merge of one partition's per-source runs, ordered newest
+/// source first; each run is sorted by timestamp, so one k-way pass with
+/// first-source-wins shadowing yields the result — no per-row map
+/// inserts. Rows expired at `now` are dropped.
+std::vector<Row> merge_newest_wins(const std::vector<std::vector<Row>>& sources,
+                                   TimestampNs now) {
     std::vector<Row> out;
-    if (sources.empty()) return out;
     if (sources.size() == 1) {  // common case: no cross-source shadowing
         out.reserve(sources.front().size());
         for (const auto& row : sources.front())
@@ -284,6 +253,82 @@ std::vector<Row> StorageNode::query(const Key& key, TimestampNs t0,
                 ++pos[i];  // consume shadowed duplicates everywhere
         }
     }
+    return out;
+}
+
+}  // namespace
+
+std::vector<Row> StorageNode::query(const Key& key, TimestampNs t0,
+                                    TimestampNs t1) const {
+    auto parts = read(key, key, t0, t1, {});
+    return parts.empty() ? std::vector<Row>{} : std::move(parts.front().rows);
+}
+
+std::vector<PartitionRows> StorageNode::query_range(const SidBytes& sid,
+                                                    TimestampNs t0,
+                                                    TimestampNs t1,
+                                                    const KeyFilter& keep)
+    const {
+    if (t1 < t0) return {};
+    return read(Key{sid, time_bucket(t0)}, Key{sid, time_bucket(t1)}, t0, t1,
+                keep);
+}
+
+std::vector<PartitionRows> StorageNode::read(const Key& first,
+                                             const Key& last, TimestampNs t0,
+                                             TimestampNs t1,
+                                             const KeyFilter& keep) const {
+    const TimestampNs start = steady_ns();
+    reads_.add(1);
+
+    // Per-source runs, newest source first: the memtable, then SSTables
+    // newest-to-oldest. The stable sort below keeps that order within
+    // each partition, which is what newest-wins shadowing needs.
+    std::vector<PartitionRows> runs;
+    std::uint64_t tables = 0;
+    std::uint64_t blocks = 0;
+    {
+        ReaderLock lock(mutex_);
+        memtable_.query_range(first, last, t0, t1, keep, runs);
+        for (auto it = sstables_.rbegin(); it != sstables_.rend(); ++it) {
+            if (first == last) {
+                // Bloom effectiveness: every negative is one SSTable
+                // probe the filter saved. A range has no single key to
+                // probe, so only point reads consult it.
+                bloom_checks_.add(1);
+                if (!(*it)->may_contain(first)) {
+                    bloom_negatives_.add(1);
+                    continue;
+                }
+            }
+            const std::size_t before = runs.size();
+            blocks += (*it)->query_range(first, last, t0, t1, keep, runs);
+            if (runs.size() != before) ++tables;
+        }
+    }
+    if (first != last)
+        std::stable_sort(runs.begin(), runs.end(),
+                         [](const PartitionRows& a, const PartitionRows& b) {
+                             return a.key < b.key;
+                         });
+
+    const TimestampNs now = now_ns();
+    std::vector<PartitionRows> out;
+    std::vector<std::vector<Row>> sources;
+    for (std::size_t i = 0; i < runs.size();) {
+        sources.clear();
+        std::size_t j = i;
+        for (; j < runs.size() && runs[j].key == runs[i].key; ++j)
+            sources.push_back(std::move(runs[j].rows));
+        auto rows = merge_newest_wins(sources, now);
+        if (!rows.empty()) out.push_back({runs[i].key, std::move(rows)});
+        i = j;
+    }
+
+    query_partitions_.add(runs.size());
+    query_tables_.add(tables);
+    query_blocks_.add(blocks);
+    query_latency_.record(steady_ns() - start);
     return out;
 }
 

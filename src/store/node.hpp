@@ -111,6 +111,17 @@ class StorageNode {
     std::vector<Row> query(const Key& key, TimestampNs t0,
                            TimestampNs t1) const DCDB_EXCLUDES(mutex_);
 
+    /// One sensor's rows in [t0, t1], per day-bucket partition in bucket
+    /// order, merged like query(). Seeks the sensor's stored buckets in
+    /// the memtable and in every SSTable index, so the cost follows the
+    /// partitions that exist, not the 213 504 buckets a default range
+    /// spans. `keep` restricts the buckets read (the cluster passes
+    /// "this node is the primary"). Empty when t1 < t0.
+    std::vector<PartitionRows> query_range(const SidBytes& sid,
+                                           TimestampNs t0, TimestampNs t1,
+                                           const KeyFilter& keep = {}) const
+        DCDB_EXCLUDES(mutex_);
+
     /// Force the memtable to disk.
     void flush() DCDB_EXCLUDES(mutex_);
 
@@ -134,6 +145,14 @@ class StorageNode {
     NodeStats stats() const DCDB_EXCLUDES(mutex_);
 
   private:
+    /// The read path behind query() and query_range(): gathers each
+    /// source's rows for the partitions in [first, last] under the reader
+    /// lock, then merges every partition newest-wins with expired rows
+    /// dropped. A single-key range consults the bloom filters first.
+    std::vector<PartitionRows> read(const Key& first, const Key& last,
+                                    TimestampNs t0, TimestampNs t1,
+                                    const KeyFilter& keep) const
+        DCDB_EXCLUDES(mutex_);
     void flush_locked() DCDB_REQUIRES(mutex_);
     /// Shared snapshot/merge/swap engine behind compact(),
     /// truncate_before() and maintain(). `merge_all` selects every table
@@ -146,6 +165,7 @@ class StorageNode {
     NodeConfig config_;
     telemetry::trace::Tracer* tracer_{nullptr};
     std::unique_ptr<telemetry::MetricRegistry> owned_registry_;
+    telemetry::MetricRegistry& registry_;
     telemetry::Counter& writes_;
     telemetry::Counter& reads_;
     telemetry::Counter& flushes_;
@@ -154,6 +174,10 @@ class StorageNode {
     telemetry::Counter& bloom_negatives_;
     telemetry::Counter& compaction_tables_;
     telemetry::Counter& compaction_bytes_;
+    telemetry::Counter& query_partitions_;
+    telemetry::Counter& query_tables_;
+    telemetry::Counter& query_blocks_;
+    telemetry::Histogram& query_latency_;
     telemetry::Histogram& flush_latency_;
     telemetry::Histogram& compaction_latency_;
     /// Writer-lock hold time of the maintenance phases (snapshot, swap):

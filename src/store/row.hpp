@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
+#include "store/key.hpp"
 
 namespace dcdb::store {
 
@@ -23,6 +25,12 @@ struct Row {
     }
 
     friend bool operator==(const Row&, const Row&) = default;
+};
+
+/// One partition's rows of a range read, in timestamp order.
+struct PartitionRows {
+    Key key;
+    std::vector<Row> rows;
 };
 
 }  // namespace dcdb::store

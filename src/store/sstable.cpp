@@ -304,14 +304,6 @@ SsTable::~SsTable() {
     if (fd_ >= 0) ::close(fd_);
 }
 
-const SsTable::IndexEntry* SsTable::find_entry(const Key& key) const {
-    const auto it = std::lower_bound(
-        index_.begin(), index_.end(), key,
-        [](const IndexEntry& e, const Key& k) { return e.key < k; });
-    if (it == index_.end() || !(it->key == key)) return nullptr;
-    return &*it;
-}
-
 bool SsTable::may_contain(const Key& key) const {
     std::uint8_t kb[Key::kBytes];
     key.serialize(kb);
@@ -415,41 +407,45 @@ void SsTable::query_raw_block(const IndexEntry& entry, const BlockRef& block,
     }
 }
 
-void SsTable::query(const Key& key, TimestampNs t0, TimestampNs t1,
-                    std::vector<Row>& out) const {
-    const IndexEntry* entry = find_entry(key);
-    if (!entry || entry->min_ts > t1 || entry->max_ts < t0) return;
-
+std::size_t SsTable::read_window(const IndexEntry& entry, TimestampNs t0,
+                                 TimestampNs t1,
+                                 std::vector<Row>& out) const {
+    if (entry.min_ts > t1 || entry.max_ts < t0) return 0;
+    std::size_t blocks = 0;
     std::vector<Row> scratch;
-    for (const auto& block : entry->blocks) {
+    for (const auto& block : entry.blocks) {
         if (block.min_ts > t1) break;  // blocks ascend in ts
         if (block.max_ts < t0) continue;
+        ++blocks;
         if (block.format == BlockFormat::kRaw) {
-            query_raw_block(*entry, block, t0, t1, out);
+            query_raw_block(entry, block, t0, t1, out);
         } else {
             scratch.clear();
-            read_block(*entry, block, scratch);
+            read_block(entry, block, scratch);
             for (const auto& row : scratch) {
                 if (row.ts > t1) break;
                 if (row.ts >= t0) out.push_back(row);
             }
         }
     }
+    return blocks;
 }
 
-std::vector<Key> SsTable::keys() const {
-    std::vector<Key> out;
-    out.reserve(index_.size());
-    for (const auto& e : index_) out.push_back(e.key);
-    return out;
-}
-
-std::vector<Row> SsTable::read_partition(const Key& key) const {
-    std::vector<Row> out;
-    const IndexEntry* entry = find_entry(key);
-    if (entry)
-        read_rows(*entry, 0, static_cast<std::size_t>(entry->rows), out);
-    return out;
+std::size_t SsTable::query_range(const Key& first, const Key& last,
+                                 TimestampNs t0, TimestampNs t1,
+                                 const KeyFilter& keep,
+                                 std::vector<PartitionRows>& out) const {
+    std::size_t blocks = 0;
+    for (auto it = std::lower_bound(
+             index_.begin(), index_.end(), first,
+             [](const IndexEntry& e, const Key& k) { return e.key < k; });
+         it != index_.end() && !(last < it->key); ++it) {
+        if (keep && !keep(it->key)) continue;
+        std::vector<Row> rows;
+        blocks += read_window(*it, t0, t1, rows);
+        if (!rows.empty()) out.push_back({it->key, std::move(rows)});
+    }
+    return blocks;
 }
 
 std::uint64_t SsTable::row_count() const {

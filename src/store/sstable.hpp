@@ -64,19 +64,18 @@ class SsTable {
     SsTable(const SsTable&) = delete;
     SsTable& operator=(const SsTable&) = delete;
 
-    /// Rows in [t0, t1] for `key`, appended to `out` in timestamp order.
-    /// Does NOT consult the bloom filter: StorageNode::query probes it
-    /// once via may_contain() before calling here, and a second probe
-    /// would double-count bloom effectiveness stats. Missing keys are
-    /// handled by the index lookup.
-    void query(const Key& key, TimestampNs t0, TimestampNs t1,
-               std::vector<Row>& out) const;
-
-    /// All keys in this table (for compaction).
-    std::vector<Key> keys() const;
-
-    /// Full partition contents (for compaction).
-    std::vector<Row> read_partition(const Key& key) const;
+    /// Rows in [t0, t1] of every partition with a key in [first, last]
+    /// that `keep` accepts: one entry per non-empty partition, appended
+    /// to `out` in key order. One lower_bound over the in-memory index
+    /// finds the first partition; partitions and blocks whose min/max
+    /// timestamps miss [t0, t1] are skipped unread. No bloom probe: the
+    /// node probes may_contain() once before a single-key read (a second
+    /// probe would double-count the bloom counters), and a filter cannot
+    /// answer for a range. Returns the data blocks read.
+    std::size_t query_range(const Key& first, const Key& last,
+                            TimestampNs t0, TimestampNs t1,
+                            const KeyFilter& keep,
+                            std::vector<PartitionRows>& out) const;
 
     bool may_contain(const Key& key) const;
 
@@ -132,7 +131,9 @@ class SsTable {
     void query_raw_block(const IndexEntry& entry, const BlockRef& block,
                          TimestampNs t0, TimestampNs t1,
                          std::vector<Row>& out) const;
-    const IndexEntry* find_entry(const Key& key) const;
+    /// Rows of `entry` in [t0, t1]; returns the data blocks read.
+    std::size_t read_window(const IndexEntry& entry, TimestampNs t0,
+                            TimestampNs t1, std::vector<Row>& out) const;
 
     std::string path_;
     int fd_{-1};

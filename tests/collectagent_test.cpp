@@ -47,11 +47,8 @@ std::vector<Reading> query_topic(store::StoreCluster& cluster,
     SensorId sid;
     if (!mapper.lookup(topic, sid)) return {};
     std::vector<Reading> out;
-    for (std::uint32_t b = time_bucket(t0); b <= time_bucket(t1); ++b) {
-        store::Key key{sid.bytes, b};
-        for (const auto& row : cluster.query(key, t0, t1))
-            out.push_back({row.ts, row.value});
-    }
+    for (const auto& row : cluster.query_range(sid.bytes, t0, t1))
+        out.push_back({row.ts, row.value});
     return out;
 }
 

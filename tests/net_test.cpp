@@ -156,6 +156,19 @@ TEST(Http, ConcurrentClients) {
     EXPECT_EQ(hits.load(), 40);
 }
 
+TEST(Http, ClosedConnectionWorkersAreReaped) {
+    HttpServer server(0, [](const HttpRequest&) {
+        return HttpResponse::ok("ok");
+    });
+    // http_get sends `Connection: close`, so every request is one
+    // connection and one worker. Each accept reaps the finished ones:
+    // only the last few can still be unjoined, not one per request.
+    constexpr int kRequests = 64;
+    for (int i = 0; i < kRequests; ++i)
+        ASSERT_EQ(http_get("127.0.0.1", server.port(), "/").status, 200);
+    EXPECT_LE(server.worker_count(), 8u);
+}
+
 TEST(Http, StopUnblocksCleanly) {
     auto server = std::make_unique<HttpServer>(0, [](const HttpRequest&) {
         return HttpResponse::ok("ok");

@@ -233,8 +233,9 @@ TEST(CommitLogRace, AppendSyncRotateReplay) {
 
 // ------------------------------------------------------------ StorageNode
 
-// Writers insert while readers query and a maintenance thread flushes and
-// compacts — the memtable/SSTable handoff under the node's shared_mutex.
+// Writers insert while readers query (point and range reads) and a
+// maintenance thread flushes and compacts — the memtable/SSTable handoff
+// under the node's shared_mutex.
 TEST(StorageNodeRace, InsertQueryFlushCompact) {
     constexpr int kWriters = 2;
     constexpr int kInserts = 500;
@@ -258,6 +259,7 @@ TEST(StorageNodeRace, InsertQueryFlushCompact) {
     std::thread reader([&] {
         while (!done.load()) {
             node.query(make_key(1), 0, kTimestampMax);
+            node.query_range(make_key(2).sid, 0, kTimestampMax);
             node.stats();
         }
     });

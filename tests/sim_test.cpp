@@ -3,6 +3,7 @@
 // codecs (IPMI, SNMP/BER, BACnet).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -58,11 +59,19 @@ TEST(Hpl, CalibrationHitsTargetDuration) {
 }
 
 TEST(Hpl, MoreWorkTakesLonger) {
-    HplAnalog hpl(2, 96);
-    hpl.set_repetitions(1);
-    const double t1 = hpl.run().seconds;
-    hpl.set_repetitions(4);
-    const double t4 = hpl.run().seconds;
+    // At n=256 one repetition is ~34 MFLOP per thread, so DGEMM work
+    // dominates thread start-up and buffer set-up even at -O3 (at n=96 it
+    // did not). The fastest of several runs drops the ones a busy machine
+    // stretched, so the comparison is of work, not of scheduling luck.
+    HplAnalog hpl(2, 256);
+    const auto fastest = [&hpl](std::size_t reps) {
+        hpl.set_repetitions(reps);
+        double best = hpl.run().seconds;
+        for (int i = 1; i < 3; ++i) best = std::min(best, hpl.run().seconds);
+        return best;
+    };
+    const double t1 = fastest(1);
+    const double t4 = fastest(4);
     EXPECT_GT(t4, 2.0 * t1);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <thread>
 
 #include "common/bytebuf.hpp"
@@ -49,6 +50,17 @@ Key make_key(std::uint8_t tag, std::uint32_t bucket = 0) {
     k.sid[15] = tag;
     k.bucket = bucket;
     return k;
+}
+
+// One partition's rows in [t0, t1] through the range read, the only read
+// path of Memtable and SsTable.
+template <typename Source>
+void query(const Source& source, const Key& key, TimestampNs t0,
+           TimestampNs t1, std::vector<Row>& out) {
+    std::vector<PartitionRows> parts;
+    source.query_range(key, key, t0, t1, {}, parts);
+    for (const auto& part : parts)
+        out.insert(out.end(), part.rows.begin(), part.rows.end());
 }
 
 std::span<const std::uint8_t> bytes_of(const std::string& s) {
@@ -172,7 +184,7 @@ TEST(Memtable, InsertAndRangeQuery) {
     for (TimestampNs ts = 100; ts <= 1000; ts += 100)
         mt.insert(k, Row{ts, static_cast<Value>(ts * 2), 0});
     std::vector<Row> out;
-    mt.query(k, 300, 700, out);
+    query(mt, k, 300, 700, out);
     ASSERT_EQ(out.size(), 5u);
     EXPECT_EQ(out.front().ts, 300u);
     EXPECT_EQ(out.back().ts, 700u);
@@ -186,7 +198,7 @@ TEST(Memtable, OutOfOrderInsertIsSorted) {
     mt.insert(k, Row{100, 1, 0});
     mt.insert(k, Row{300, 3, 0});
     std::vector<Row> out;
-    mt.query(k, 0, kTimestampMax, out);
+    query(mt, k, 0, kTimestampMax, out);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].ts, 100u);
     EXPECT_EQ(out[1].ts, 300u);
@@ -199,7 +211,7 @@ TEST(Memtable, SameTimestampUpserts) {
     mt.insert(k, Row{100, 1, 0});
     mt.insert(k, Row{100, 2, 0});
     std::vector<Row> out;
-    mt.query(k, 0, kTimestampMax, out);
+    query(mt, k, 0, kTimestampMax, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].value, 2);
 }
@@ -209,7 +221,7 @@ TEST(Memtable, SeparateKeysAreIsolated) {
     mt.insert(make_key(1), Row{100, 1, 0});
     mt.insert(make_key(2), Row{100, 2, 0});
     std::vector<Row> out;
-    mt.query(make_key(1), 0, kTimestampMax, out);
+    query(mt, make_key(1), 0, kTimestampMax, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].value, 1);
 }
@@ -233,7 +245,7 @@ TEST(SsTable, WriteOpenQuery) {
     auto table = SsTable::write(dir.str() + "/t.db", 1, parts);
 
     std::vector<Row> out;
-    table->query(k, 30, 60, out);
+    query(*table, k, 30, 60, out);
     ASSERT_EQ(out.size(), 4u);
     EXPECT_EQ(out[0].ts, 30u);
     EXPECT_EQ(out[3].ts, 60u);
@@ -254,7 +266,7 @@ TEST(SsTable, ReopenFromDiskPreservesData) {
     EXPECT_EQ(table->generation(), 9u);
     EXPECT_EQ(table->partition_count(), 2u);
     std::vector<Row> out;
-    table->query(make_key(2), 0, kTimestampMax, out);
+    query(*table, make_key(2), 0, kTimestampMax, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].value, 70);
 }
@@ -265,7 +277,7 @@ TEST(SsTable, MissingKeyReturnsNothing) {
     parts[make_key(1)] = {Row{1, 1, 0}};
     auto table = SsTable::write(dir.str() + "/t.db", 1, parts);
     std::vector<Row> out;
-    table->query(make_key(99), 0, kTimestampMax, out);
+    query(*table, make_key(99), 0, kTimestampMax, out);
     EXPECT_TRUE(out.empty());
 }
 
@@ -277,7 +289,7 @@ TEST(SsTable, LargePartitionBinarySearch) {
         parts[k].push_back(Row{ts, static_cast<Value>(ts), 0});
     auto table = SsTable::write(dir.str() + "/big.db", 1, parts);
     std::vector<Row> out;
-    table->query(k, 9999, 10001, out);
+    query(*table, k, 9999, 10001, out);
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[1].ts, 10000u);
 }
@@ -307,7 +319,7 @@ TEST(SsTable, RegularSeriesCompressBelowFourBytesPerRow) {
         << (static_cast<double>(table->data_bytes()) / 5000.0);
     // Compression must be invisible to queries.
     std::vector<Row> out;
-    table->query(k, 1000 + 100 * kNsPerSec, 1000 + 110 * kNsPerSec, out);
+    query(*table, k, 1000 + 100 * kNsPerSec, 1000 + 110 * kNsPerSec, out);
     ASSERT_EQ(out.size(), 11u);
     EXPECT_EQ(out.front().ts, 1000 + 100 * kNsPerSec);
     EXPECT_EQ(out.front().expiry_s, 3600u);
@@ -323,7 +335,7 @@ TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
 
     // kBlockRows = 512: [500, 530] spans the first block boundary.
     std::vector<Row> out;
-    table->query(k, 500, 530, out);
+    query(*table, k, 500, 530, out);
     ASSERT_EQ(out.size(), 31u);
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i].ts, 500 + i);
@@ -340,7 +352,7 @@ TEST(SsTable, QueriesAndRowReadsCrossCompressedBlockBoundaries) {
     // Reopen: the block directory round-trips through disk.
     auto reopened = SsTable::open(dir.str() + "/t.db");
     out.clear();
-    reopened->query(k, 1535, 1540, out);
+    query(*reopened, k, 1535, 1540, out);
     ASSERT_EQ(out.size(), 6u);
     EXPECT_EQ(out.front().ts, 1535u);
 }
@@ -702,7 +714,7 @@ TEST(Compaction, StreamingWriterRoundTrips) {
     EXPECT_EQ(table->partition_count(), 2u);
     EXPECT_EQ(table->row_count(), 5001u);
     std::vector<Row> rows;
-    table->query(make_key(1), 0, kTimestampMax, rows);
+    query(*table, make_key(1), 0, kTimestampMax, rows);
     ASSERT_EQ(rows.size(), 5000u);
     EXPECT_EQ(rows.front().ts, 1u);
     EXPECT_EQ(rows.back().ts, 5000u);
@@ -740,7 +752,7 @@ TEST(Compaction, MergeShadowsNewestInputOnEqualTimestamp) {
     EXPECT_EQ(result.stats.rows_out, 3u);
 
     std::vector<Row> rows;
-    result.table->query(k, 0, kTimestampMax, rows);
+    query(*result.table, k, 0, kTimestampMax, rows);
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[0].value, 1);  // ts 100, only in gen 1
     EXPECT_EQ(rows[1].value, 2);  // ts 200, gen 2 shadows gen 1
@@ -765,7 +777,7 @@ TEST(Compaction, MergeAppliesCutoffAndExpiry) {
         merge_tables({table.get()}, dir.str() + "/merged.db", 1, options);
     ASSERT_NE(result.table, nullptr);
     std::vector<Row> rows;
-    result.table->query(k, 0, kTimestampMax, rows);
+    query(*result.table, k, 0, kTimestampMax, rows);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].ts, 300u);
 }
@@ -811,7 +823,7 @@ TEST(Compaction, MergeSpansManyPartitionsAndChunks) {
     EXPECT_EQ(result.table->partition_count(), 7u);
     EXPECT_EQ(result.table->row_count(), 6u * 5000u + 3u);
     std::vector<Row> rows;
-    result.table->query(make_key(7), 0, kTimestampMax, rows);
+    query(*result.table, make_key(7), 0, kTimestampMax, rows);
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[1].value, 20);  // ts 2: b (gen 2, later input) wins
 }
@@ -930,6 +942,62 @@ TEST(StorageNode, ReopenSweepsLeftoverTemporaries) {
     StorageNode reopened(config);
     EXPECT_FALSE(fs::exists(tmp));
     EXPECT_EQ(reopened.query(make_key(1), 0, kTimestampMax).size(), 1u);
+}
+
+TEST(StorageNode, DefaultRangeReadTouchesOnlyStoredPartitions) {
+    TempDir dir;
+    telemetry::MetricRegistry registry;
+    NodeConfig config{dir.str(), 1u << 20, false};
+    config.registry = &registry;
+    StorageNode node(config);
+    const Key a = make_key(1, 10), b = make_key(1, 11), c = make_key(1, 12);
+    const Key other = make_key(2, 11);
+    const auto at = [](const Key& k, TimestampNs offset) {
+        return k.bucket * kBucketWidthNs + offset;
+    };
+    // Buckets a, b in the first table, b, c in the second, c in the
+    // memtable: five stored partitions of sensor 1 over three sources.
+    node.insert(a, at(a, 1), 1);
+    node.insert(b, at(b, 1), 2);
+    node.insert(other, at(other, 1), 99);
+    node.flush();
+    node.insert(b, at(b, 2), 3);
+    node.insert(c, at(c, 1), 4);
+    node.insert(other, at(other, 2), 99);
+    node.flush();
+    node.insert(c, at(c, 2), 5);
+
+    const std::vector<std::string> names = {
+        "store.reads", "store.query.partitions", "store.query.tables",
+        "store.query.blocks", "store.bloom.checks"};
+    std::map<std::string, std::uint64_t> touched;
+    for (const auto& name : names)
+        touched[name] -= registry.counter(name).value();
+    const auto parts = node.query_range(a.sid, 0, kTimestampMax);
+    for (const auto& name : names)
+        touched[name] += registry.counter(name).value();
+
+    ASSERT_EQ(parts.size(), 3u);
+    EXPECT_EQ(parts[0].key, a);
+    EXPECT_EQ(parts[1].key, b);
+    EXPECT_EQ(parts[2].key, c);
+    std::vector<Value> values;
+    for (const auto& part : parts)
+        for (const auto& row : part.rows) values.push_back(row.value);
+    EXPECT_EQ(values, (std::vector<Value>{1, 2, 3, 4, 5}));
+
+    // The default range spans 213 504 day-buckets; the read touched the
+    // five partitions that exist, in both tables, one block each.
+    EXPECT_EQ(time_bucket(kTimestampMax) + 1, 213504u);
+    EXPECT_EQ(touched["store.reads"], 1u);
+    EXPECT_EQ(touched["store.query.partitions"], 5u);
+    EXPECT_EQ(touched["store.query.tables"], 2u);
+    EXPECT_EQ(touched["store.query.blocks"], 4u);
+    EXPECT_EQ(touched["store.bloom.checks"], 0u);
+    EXPECT_EQ(registry.histogram("store.query.latency").snapshot().count(),
+              1u);
+
+    EXPECT_TRUE(node.query_range(a.sid, 5, 4).empty());  // t1 < t0
 }
 
 // --------------------------------------------------------------- cluster

@@ -41,6 +41,13 @@
 //                      batch pipeline exists to close. Off-hot-path
 //                      exceptions carry a
 //                      `dcdblint: allow-single-insert(<why>)` marker.
+//   bucket-query-loop  outside src/store, a loop that walks day-buckets
+//                      (time_bucket(...) in the loop or just above it)
+//                      and calls a store `query(...)` per bucket: a range
+//                      read is one StoreCluster::query_range, which seeks
+//                      the buckets that exist instead of probing up to
+//                      213 504 empty ones. Exceptions carry a
+//                      `dcdblint: allow-bucket-loop(<why>)` marker.
 //   naked-atomic       no ad-hoc `std::atomic<integer>` stat counters
 //                      outside src/telemetry/ — statistics belong in the
 //                      metric registry (telemetry::Counter/Gauge), where
@@ -276,6 +283,23 @@ std::optional<std::size_t> find_word(const std::string& s,
     return std::nullopt;
 }
 
+// `word` at `pos` is called: the next non-blank character is '('.
+bool called_at(const std::string& code, std::size_t pos,
+               std::string_view word) {
+    std::size_t j = pos + word.size();
+    while (j < code.size() && code[j] == ' ') ++j;
+    return j < code.size() && code[j] == '(';
+}
+
+bool has_call(const std::string& code, std::string_view word) {
+    for (std::size_t pos = code.find(word); pos != std::string::npos;
+         pos = code.find(word, pos + 1)) {
+        if (word_at(code, pos, word) && called_at(code, pos, word))
+            return true;
+    }
+    return false;
+}
+
 // Marker on the offending line or the line directly above.
 bool has_marker(const std::vector<Line>& lines, std::size_t idx,
                 std::string_view marker) {
@@ -413,16 +437,87 @@ void check_per_reading_insert(const std::string& rel,
         const std::string& code = lines[i].code;
         const auto pos = find_word(code, "insert");
         if (!pos) continue;
-        // Only calls: `insert` immediately followed by '('.
-        std::size_t j = *pos + std::string("insert").size();
-        while (j < code.size() && code[j] == ' ') ++j;
-        if (j >= code.size() || code[j] != '(') continue;
+        if (!called_at(code, *pos, "insert")) continue;
         if (has_marker(lines, i, "dcdblint: allow-single-insert")) continue;
         out.push_back(
             {rel, i + 1, "per-reading-insert",
              "per-reading insert() in the collect-agent layer — batch "
              "readings and call insert_batch(), or justify with "
              "`dcdblint: allow-single-insert(<why>)`"});
+    }
+}
+
+// Index of the last line of the loop whose `for`/`while` keyword sits on
+// line `start` at column `col`: the parenthesised header, then a braced
+// body or a single statement up to its ';'.
+std::size_t loop_end(const std::vector<Line>& lines, std::size_t start,
+                     std::size_t col) {
+    enum class Part { kHeader, kBodyStart, kBlock, kStatement };
+    Part part = Part::kHeader;
+    int depth = 0;
+    for (std::size_t i = start; i < lines.size(); ++i) {
+        const std::string& code = lines[i].code;
+        for (std::size_t j = i == start ? col : 0; j < code.size(); ++j) {
+            const char c = code[j];
+            switch (part) {
+                case Part::kHeader:
+                    if (c == '(') ++depth;
+                    if (c == ')' && --depth == 0) part = Part::kBodyStart;
+                    break;
+                case Part::kBodyStart:
+                    if (c == ' ' || c == '\t') break;
+                    part = c == '{' ? Part::kBlock : Part::kStatement;
+                    [[fallthrough]];
+                case Part::kBlock:
+                case Part::kStatement: {
+                    const char open = part == Part::kBlock ? '{' : '(';
+                    const char close = part == Part::kBlock ? '}' : ')';
+                    if (c == open) ++depth;
+                    if (c == close) --depth;
+                    if (depth == 0 &&
+                        (part == Part::kBlock ? c == '}' : c == ';'))
+                        return i;
+                    break;
+                }
+            }
+        }
+    }
+    return lines.size() - 1;
+}
+
+// The read path's twin of the per-reading-insert rule: a per-bucket
+// query loop outside the store turns a default-range read into one
+// store probe per day-bucket (213 504 of them up to kTimestampMax).
+void check_bucket_query_loop(const std::string& rel,
+                             const std::vector<Line>& lines,
+                             std::vector<Violation>& out) {
+    if (rel.rfind("src/store/", 0) == 0) return;
+    constexpr std::size_t kLookback = 3;  // `last = time_bucket(t1);` above
+    std::size_t covered_until = 0;        // nested loops report once
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (i < covered_until) continue;
+        const std::string& code = lines[i].code;
+        std::optional<std::size_t> pos;
+        for (const std::string_view kw : {"for", "while"}) {
+            const auto p = find_word(code, kw);
+            if (p && called_at(code, *p, kw)) pos = p;
+        }
+        if (!pos) continue;
+        const std::size_t end = loop_end(lines, i, *pos);
+        bool bucket = false, query = false;
+        for (std::size_t k = i >= kLookback ? i - kLookback : 0; k <= end;
+             ++k) {
+            bucket = bucket || has_call(lines[k].code, "time_bucket");
+            if (k >= i) query = query || has_call(lines[k].code, "query");
+        }
+        if (!bucket || !query) continue;
+        if (has_marker(lines, i, "dcdblint: allow-bucket-loop")) continue;
+        covered_until = end + 1;
+        out.push_back(
+            {rel, i + 1, "bucket-query-loop",
+             "per-bucket store query() loop — read a sensor's range with "
+             "one StoreCluster::query_range(), or justify with "
+             "`dcdblint: allow-bucket-loop(<why>)`"});
     }
 }
 
@@ -466,10 +561,7 @@ void check_trace_stage(const std::string& rel,
         const std::string& code = lines[i].code;
         const auto pos = find_word(code, "record_span");
         if (!pos) continue;
-        // Only calls: `record_span` immediately followed by '('.
-        std::size_t j = *pos + std::string("record_span").size();
-        while (j < code.size() && code[j] == ' ') ++j;
-        if (j >= code.size() || code[j] != '(') continue;
+        if (!called_at(code, *pos, "record_span")) continue;
         bool named = false;
         for (std::size_t k = i; k < lines.size() && k <= i + 2; ++k) {
             if (lines[k].code.find("Stage::k") != std::string::npos) {
@@ -584,6 +676,7 @@ std::vector<Violation> lint_file(const std::string& rel,
     check_unguarded_mutex(rel, lines, out);
     check_sleep(rel, lines, out);
     check_per_reading_insert(rel, lines, out);
+    check_bucket_query_loop(rel, lines, out);
     check_naked_atomic(rel, lines, out);
     check_trace_stage(rel, lines, out);
     check_includes(rel, lines, out);
@@ -645,6 +738,37 @@ const Case kCases[] = {
      nullptr},
     {"per-reading insert ok outside collect agent", "src/store/good9.cpp",
      "memtable_.insert(key, row);\n", nullptr},
+    {"per-bucket query loop fires outside the store", "src/libdcdb/bad.cpp",
+     "for (std::uint32_t b = time_bucket(t0); b <= time_bucket(t1); ++b) {\n"
+     "    for (const auto& row : cluster_.query(Key{sid, b}, t0, t1))\n"
+     "        out.push_back(row);\n"
+     "}\n",
+     "bucket-query-loop"},
+    {"bucket bound computed above the loop fires",
+     "src/collectagent/bad2.cpp",
+     "const std::uint32_t last = time_bucket(t1);\n"
+     "for (std::uint32_t b = first;; ++b) {\n"
+     "    rows = cluster_->query(Key{sid, b}, t0, t1);\n"
+     "    if (b == last) break;\n"
+     "}\n",
+     "bucket-query-loop"},
+    {"query_range in a loop clean", "src/libdcdb/good.cpp",
+     "for (const auto& sid : sids)\n"
+     "    rows = cluster_.query_range(sid, t0, time_bucket(t1));\n",
+     nullptr},
+    {"bucket loop without a query clean", "src/core/good3.cpp",
+     "while (ts < end) {\n    keys.push_back(time_bucket(ts));\n"
+     "    ts += width;\n}\nrows = conn.query(topic, t0, t1);\n",
+     nullptr},
+    {"per-bucket loop ok inside the store", "src/store/good10.cpp",
+     "for (auto b = time_bucket(t0); b <= time_bucket(t1); ++b)\n"
+     "    node->query(Key{sid, b}, t0, t1);\n",
+     nullptr},
+    {"allow-bucket-loop marker accepted", "src/tools/good2.cpp",
+     "// dcdblint: allow-bucket-loop(per-bucket row counts for a report)\n"
+     "for (auto b = time_bucket(t0); b <= time_bucket(t1); ++b)\n"
+     "    counts.push_back(cluster.query(Key{sid, b}, t0, t1).size());\n",
+     nullptr},
     {"naked atomic counter fires", "src/store/bad3.hpp",
      "std::atomic<std::uint64_t> writes_{0};\n", "naked-atomic"},
     {"atomic bool flag clean", "src/store/good6.hpp",
