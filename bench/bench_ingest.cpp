@@ -15,50 +15,37 @@
 //   2. decode_batch into a reused view performs ZERO heap allocations in
 //      steady state — the agent decodes on broker session threads, and
 //      per-reading allocation there is the first thing batching wins.
+//   3. The agent's whole steady-state per-section path (sensor registry
+//      lookup, batch build, cache push) performs ZERO heap allocations:
+//      known-topic messages sent through a real in-process MQTT session,
+//      with the store insert held out by the fault injector's drop
+//      action, cost exactly as many allocations with 64 sections as
+//      with 1. Comparing two message shapes cancels the client's and
+//      broker's fixed per-message allocations.
 //
 // It also re-checks the storage-side half of the bargain: a monotone
 // sensor series stored through the v2 SSTable writer costs <= 4 bytes
 // per reading on disk (Gorilla blocks, DESIGN.md §10).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <new>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "collectagent/collect_agent.hpp"
 #include "common/clock.hpp"
+#include "common/config.hpp"
+#include "common/fault.hpp"
 #include "core/payload.hpp"
 #include "core/sensor_id.hpp"
+#include "mqtt/client.hpp"
 #include "store/node.hpp"
 #include "store/sstable.hpp"
 
 using namespace dcdb;
-
-// ------------------------------------------------- allocation counting
-//
-// Global operator new override counting every heap allocation in the
-// process; the smoke check reads the counter around the decode loop.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -174,6 +161,106 @@ constexpr int kSmokeReadings = 8192;
 constexpr double kMinSpeedup = 5.0;
 constexpr int kDecodeIterations = 10000;
 
+// The agent's per-section allocation gate (contract 3 above).
+constexpr int kGateMessages = 50;
+constexpr int kGateWideSections = 64;
+
+/// kGateMessages batch payloads of `sections` one-reading sections on the
+/// gate's fixed topics; readings are 1 s apart, so every sensor cache
+/// evicts its oldest entry instead of growing.
+std::vector<std::vector<std::uint8_t>> gate_payloads(int sections,
+                                                     TimestampNs& next_s) {
+    std::vector<std::string> topics;
+    for (int s = 0; s < sections; ++s)
+        topics.push_back("/bench/node0/gate/s" + std::to_string(s));
+    std::vector<std::vector<std::uint8_t>> out;
+    for (int m = 0; m < kGateMessages; ++m) {
+        const Reading reading{next_s++ * kNsPerSec, m};
+        std::vector<SensorBatch> batches;
+        for (const auto& topic : topics)
+            batches.push_back({topic, std::span<const Reading>(&reading, 1)});
+        out.push_back(encode_batch(batches));
+    }
+    return out;
+}
+
+/// Heap allocations for publishing every payload, QoS 1 (each publish
+/// returns once the agent has processed the message).
+std::uint64_t publish_all(mqtt::MqttClient& client,
+                          const std::vector<std::vector<std::uint8_t>>& all) {
+    const std::string topic = "/bench/node0/gate";  // informational
+    const std::uint64_t before = bench::heap_allocations();
+    for (const auto& payload : all) client.publish(topic, payload, 1);
+    return bench::heap_allocations() - before;
+}
+
+int agent_section_gate() {
+    bench::ScratchDir scratch("ingest_smoke_agent");
+    store::ClusterConfig cluster_config;
+    cluster_config.base_dir = scratch.str();
+    cluster_config.commitlog_enabled = false;
+    store::StoreCluster cluster(cluster_config);
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(parse_config("global { listenTcp false }"),
+                                     &cluster, &meta);
+    mqtt::MqttClient client(agent.connect_inproc(), "alloc-gate");
+    client.connect();
+
+    // Generated in publish order, so timestamps only move forward.
+    TimestampNs next_s = 1;
+    const auto warm_wide = gate_payloads(kGateWideSections, next_s);
+    const auto warm_narrow = gate_payloads(1, next_s);
+    const auto narrow = gate_payloads(1, next_s);
+    const auto wide = gate_payloads(kGateWideSections, next_s);
+
+    // First sight of every topic lands for real: SIDs, cache slots and
+    // hierarchy leaves exist before the measured messages.
+    publish_all(client, warm_wide);
+    std::uint64_t narrow_allocs = 0;
+    std::uint64_t wide_allocs = 0;
+    {
+        ScopedFault drop(FaultPoint::kStoreInsert, {.drop_prob = 1.0});
+        publish_all(client, warm_narrow);  // size every reused buffer
+        narrow_allocs = publish_all(client, narrow);
+        wide_allocs = publish_all(client, wide);
+    }
+    client.disconnect();
+
+    const auto stats = agent.stats();
+    const auto newest = agent.cache().latest("/bench/node0/gate/s63");
+    std::printf("ingest smoke: agent path %.2f allocations/message at 1 "
+                "section, %.2f at %d sections\n",
+                static_cast<double>(narrow_allocs) / kGateMessages,
+                static_cast<double>(wide_allocs) / kGateMessages,
+                kGateWideSections);
+    const std::uint64_t expected_readings =
+        static_cast<std::uint64_t>(kGateMessages) *
+        (2 * kGateWideSections + 2);
+    if (stats.readings != expected_readings || stats.decode_errors != 0 ||
+        stats.known_sensors != kGateWideSections || !newest ||
+        newest->ts != (next_s - 1) * kNsPerSec) {
+        std::fprintf(stderr,
+                     "ingest smoke: agent gate run lost readings (%llu of "
+                     "%llu, %zu sensors) — the measured path did not run\n",
+                     static_cast<unsigned long long>(stats.readings),
+                     static_cast<unsigned long long>(expected_readings),
+                     stats.known_sensors);
+        return 1;
+    }
+    if (wide_allocs != narrow_allocs) {
+        std::fprintf(stderr,
+                     "ingest smoke: a %d-section message allocated %llu "
+                     "times per %d messages, a 1-section one %llu — the "
+                     "agent's per-section path must not touch the heap\n",
+                     kGateWideSections,
+                     static_cast<unsigned long long>(wide_allocs),
+                     kGateMessages,
+                     static_cast<unsigned long long>(narrow_allocs));
+        return 1;
+    }
+    return 0;
+}
+
 int smoke() {
     // 1. Batched vs per-reading throughput under the same loss bound.
     std::uint64_t single_ns = 0;
@@ -222,15 +309,13 @@ int smoke() {
     const auto payload = make_batch_payload(8, 8);
     BatchPayloadView view;
     decode_batch(payload, view);  // warm-up: scratch vectors size up once
-    const std::uint64_t before =
-        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t before = bench::heap_allocations();
     std::uint64_t total = 0;
     for (int i = 0; i < kDecodeIterations; ++i) {
         decode_batch(payload, view);
         total += view.total_readings;
     }
-    const std::uint64_t allocs =
-        g_allocations.load(std::memory_order_relaxed) - before;
+    const std::uint64_t allocs = bench::heap_allocations() - before;
     std::printf("ingest smoke: %d decodes (%llu readings), %llu heap "
                 "allocations\n",
                 kDecodeIterations, static_cast<unsigned long long>(total),
@@ -272,7 +357,7 @@ int smoke() {
             return 1;
         }
     }
-    return 0;
+    return agent_section_gate();
 }
 
 }  // namespace

@@ -14,14 +14,13 @@
 // sampled path (mint + spans + complete) must stay bounded.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/clock.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
@@ -29,29 +28,6 @@
 #include "telemetry/trace.hpp"
 
 using namespace dcdb;
-
-// ------------------------------------------------- allocation counting
-//
-// Global operator new override counting every heap allocation in the
-// process; the smoke check reads the counter around the untraced loop
-// to prove the miss path is allocation-free.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -179,8 +155,7 @@ int trace_smoke() {
     const std::vector<std::uint8_t> plain_payload(64, 0x42);
 
     std::uint64_t sink = 0;
-    const std::uint64_t allocations_before =
-        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t allocations_before = bench::heap_allocations();
     const TimestampNs miss_start = steady_ns();
     for (std::uint64_t i = 0; i < kSmokeOps; ++i) {
         sink += miss_tracer.maybe_start(i + 1).trace_id;
@@ -189,7 +164,7 @@ int trace_smoke() {
     const double miss_ns =
         static_cast<double>(steady_ns() - miss_start) / kSmokeOps;
     const std::uint64_t allocations =
-        g_allocations.load(std::memory_order_relaxed) - allocations_before;
+        bench::heap_allocations() - allocations_before;
     benchmark::DoNotOptimize(sink);
 
     // Fully sampled path: mint + three stage spans + completion, every

@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -10,6 +11,11 @@
 #include "common/string_utils.hpp"
 
 namespace dcdb::bench {
+
+/// Heap allocations made so far by the whole process, on every thread.
+/// Defined in alloc_counter.cpp, which replaces the global operator new;
+/// only binaries that link that file may call it.
+std::uint64_t heap_allocations();
 
 /// Repetitions per measurement. The paper uses 10; default here is a
 /// faster 3, overridable with DCDB_BENCH_REPS.

@@ -34,6 +34,7 @@ CollectAgent::CollectAgent(const ConfigNode& config,
       mapper_(*meta),
       cache_(config.get_duration_ns_or("global.cacheWindow",
                                        120 * kNsPerSec)),
+      sensors_(mapper_, cache_, tree_),
       ttl_s_(static_cast<std::uint32_t>(
           config.get_i64_or("global.ttl", 0))),
       store_node_hint_(static_cast<int>(
@@ -139,11 +140,11 @@ bool CollectAgent::insert_batch_with_retry(
 
 namespace {
 
-/// One decoded section, SID-resolved, awaiting storage. Views point into
-/// the publish payload, which outlives the whole on_publish call.
+/// One decoded section, resolved through the sensor registry, awaiting
+/// storage. The readings view points into the publish payload, which
+/// outlives the whole on_publish call.
 struct PendingSection {
-    std::string_view topic;
-    SensorId sid;
+    SensorRegistry::Sensor sensor;
     ReadingsView readings;
 };
 
@@ -159,11 +160,11 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     // transient and retried batch-at-a-time.
     //
     // on_publish runs on concurrent broker session threads; thread_local
-    // scratch keeps the steady-state decode path allocation-free.
+    // scratch plus the registry's allocation-free hit path keep the
+    // steady state free of heap allocations per section.
     thread_local BatchPayloadView view;
     thread_local std::vector<PendingSection> sections;
     thread_local std::vector<store::BatchEntry> batch;
-    thread_local std::string topic_scratch;
     sections.clear();
     batch.clear();
 
@@ -180,43 +181,28 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     const TimestampNs decode_start = maybe_traced ? steady_ns() : 0;
     telemetry::trace::TraceContext trace;
 
+    const auto resolve = [&](std::string_view topic, ReadingsView readings) {
+        try {
+            sections.push_back({sensors_.resolve(topic), readings});
+        } catch (const std::exception& e) {
+            discarded += readings.size();
+            DCDB_WARN("collectagent")
+                << "dropping " << readings.size() << " readings on "
+                << topic << ": " << e.what();
+        }
+    };
     if (is_batch_payload(payload)) {
         decode_batch(payload, view);  // cannot throw: header was checked
         torn = view.torn_bytes > 0;
         trace = view.trace;
-        for (const auto& section : view.sections) {
-            PendingSection pending;
-            pending.topic = section.topic;
-            pending.readings = section.readings;
-            try {
-                topic_scratch.assign(section.topic);
-                pending.sid = mapper_.to_sid(topic_scratch);
-            } catch (const std::exception& e) {
-                discarded += section.readings.size();
-                DCDB_WARN("collectagent")
-                    << "dropping section on " << section.topic << ": "
-                    << e.what();
-                continue;
-            }
-            if (pending.readings.size() > 0) sections.push_back(pending);
-        }
+        for (const auto& section : view.sections)
+            if (section.readings.size() > 0)
+                resolve(section.topic, section.readings);
     } else {
         const SalvagedReadings salvage = decode_readings_view(payload);
         torn = salvage.torn_bytes > 0;
-        if (salvage.readings.size() > 0) {
-            PendingSection pending;
-            pending.topic = message.topic;
-            pending.readings = salvage.readings;
-            try {
-                pending.sid = mapper_.to_sid(message.topic);
-                sections.push_back(pending);
-            } catch (const std::exception& e) {
-                discarded += salvage.readings.size();
-                DCDB_WARN("collectagent")
-                    << "dropping message on " << message.topic << ": "
-                    << e.what();
-            }
-        }
+        if (salvage.readings.size() > 0)
+            resolve(message.topic, salvage.readings);
     }
     if (torn) ++discarded;  // the torn tail is at least one lost reading
     if (discarded > 0) decode_errors_.add(discarded);
@@ -225,7 +211,7 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
         for (std::size_t i = 0; i < pending.readings.size(); ++i) {
             const Reading reading = pending.readings[i];
             batch.push_back(store::BatchEntry{
-                sensor_key(pending.sid, reading.ts), reading.ts,
+                sensor_key(pending.sensor.sid, reading.ts), reading.ts,
                 reading.value, ttl_s_});
         }
     }
@@ -243,16 +229,14 @@ void CollectAgent::on_publish(const mqtt::Publish& message) {
     readings_.add(batch.size());
 
     // Cache the newest persisted reading per sensor, notify the live
-    // listener, and keep the hierarchy browsable.
-    for (const auto& pending : sections) {
-        topic_scratch.assign(pending.topic);
+    // listener; a sensor's first landing also enters the hierarchy.
+    for (auto& pending : sections) {
         if (live_listener_) {
             for (std::size_t i = 0; i < pending.readings.size(); ++i)
-                live_listener_(topic_scratch, pending.readings[i]);
+                live_listener_(*pending.sensor.topic, pending.readings[i]);
         }
-        cache_.push(topic_scratch,
-                    pending.readings[pending.readings.size() - 1]);
-        tree_.add(topic_scratch);
+        sensors_.landed(pending.sensor,
+                        pending.readings[pending.readings.size() - 1]);
     }
 }
 
@@ -261,14 +245,13 @@ void CollectAgent::set_live_listener(LiveListener listener) {
 }
 
 void CollectAgent::ingest(const std::string& topic, const Reading& reading) {
-    const SensorId sid = mapper_.to_sid(topic);
-    const store::BatchEntry entry{sensor_key(sid, reading.ts), reading.ts,
-                                  reading.value, ttl_s_};
+    auto sensor = sensors_.resolve(topic);
+    const store::BatchEntry entry{sensor_key(sensor.sid, reading.ts),
+                                  reading.ts, reading.value, ttl_s_};
     if (!insert_batch_with_retry(
             std::span<const store::BatchEntry>(&entry, 1), nullptr))
         return;
-    cache_.push(topic, reading);
-    tree_.add(topic);
+    sensors_.landed(sensor, reading);
     readings_.add(1);
 }
 

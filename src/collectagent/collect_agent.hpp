@@ -5,7 +5,9 @@
 // persistent topic dictionary, and writes every reading to the Storage
 // Backend cluster. Keeps a sensor cache of the latest readings of all
 // connected Pushers, served over the same RESTful API as a Pusher's
-// (Section 5.3), and maintains the sensor hierarchy tree.
+// (Section 5.3), and maintains the sensor hierarchy tree. A sensor
+// registry resolves each topic once: known topics skip the dictionary,
+// the hierarchy and the cache lookup (DESIGN.md §13).
 //
 // Configuration:
 //   global {
@@ -29,6 +31,7 @@
 #include "core/hierarchy.hpp"
 #include "core/sensor_cache.hpp"
 #include "core/sensor_id.hpp"
+#include "core/sensor_registry.hpp"
 #include "mqtt/broker.hpp"
 #include "net/http.hpp"
 #include "store/cluster.hpp"
@@ -143,6 +146,9 @@ class CollectAgent {
     TopicMapper mapper_;
     CacheSet cache_;
     SensorTree tree_;
+    /// The one path from a topic to its SID, cache slot and hierarchy
+    /// membership, for both on_publish and ingest().
+    SensorRegistry sensors_;
     std::uint32_t ttl_s_;
     int store_node_hint_;
     std::uint32_t store_retry_max_;

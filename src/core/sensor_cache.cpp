@@ -78,9 +78,8 @@ std::optional<double> SensorCache::average(TimestampNs horizon_ns) const {
     return sum / static_cast<double>(n);
 }
 
-void CacheSet::push(const std::string& topic, const Reading& r,
-                    TimestampNs interval_hint_ns) {
-    MutexLock lock(mutex_);
+SensorCache& CacheSet::find_or_create(const std::string& topic,
+                                     TimestampNs interval_hint_ns) {
     auto it = caches_.find(topic);
     if (it == caches_.end()) {
         it = caches_
@@ -89,7 +88,25 @@ void CacheSet::push(const std::string& topic, const Reading& r,
                           std::forward_as_tuple(window_ns_, interval_hint_ns))
                  .first;
     }
-    it->second.push(r);
+    return it->second;
+}
+
+CacheSet::Slot CacheSet::slot(const std::string& topic,
+                              TimestampNs interval_hint_ns) {
+    MutexLock lock(mutex_);
+    // unordered_map nodes never move, so the pointer outlives rehashes.
+    return Slot(&find_or_create(topic, interval_hint_ns));
+}
+
+void CacheSet::push(Slot slot, const Reading& r) {
+    MutexLock lock(mutex_);
+    slot.cache_->push(r);
+}
+
+void CacheSet::push(const std::string& topic, const Reading& r,
+                    TimestampNs interval_hint_ns) {
+    MutexLock lock(mutex_);
+    find_or_create(topic, interval_hint_ns).push(r);
 }
 
 std::optional<Reading> CacheSet::latest(const std::string& topic) const {

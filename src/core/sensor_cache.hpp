@@ -65,6 +65,26 @@ class CacheSet {
     explicit CacheSet(TimestampNs window_ns = 120 * kNsPerSec)
         : window_ns_(window_ns) {}
 
+    /// Stable handle to one topic's cache (caches are never removed):
+    /// resolve it once with slot(), then push() without hashing the topic.
+    class Slot {
+      public:
+        Slot() = default;
+        explicit operator bool() const { return cache_ != nullptr; }
+
+      private:
+        friend class CacheSet;
+        explicit Slot(SensorCache* cache) : cache_(cache) {}
+        SensorCache* cache_{nullptr};
+    };
+
+    /// The cache of `topic`, created empty on first sight.
+    Slot slot(const std::string& topic,
+              TimestampNs interval_hint_ns = kNsPerSec) DCDB_EXCLUDES(mutex_);
+
+    /// Insert a reading through a handle from slot().
+    void push(Slot slot, const Reading& r) DCDB_EXCLUDES(mutex_);
+
     /// Insert a reading for `topic`, creating the cache on first sight.
     void push(const std::string& topic, const Reading& r,
               TimestampNs interval_hint_ns = kNsPerSec) DCDB_EXCLUDES(mutex_);
@@ -83,6 +103,10 @@ class CacheSet {
     TimestampNs window_ns() const { return window_ns_; }
 
   private:
+    SensorCache& find_or_create(const std::string& topic,
+                                TimestampNs interval_hint_ns)
+        DCDB_REQUIRES(mutex_);
+
     TimestampNs window_ns_;
     mutable Mutex mutex_;
     std::unordered_map<std::string, SensorCache> caches_

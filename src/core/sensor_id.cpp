@@ -32,22 +32,66 @@ std::string rev_key(std::size_t level, std::uint16_t id) {
 }  // namespace
 
 TopicMapper::TopicMapper(store::MetaStore& meta) : meta_(meta) {
+    MutexLock lock(mutex_);
     next_id_.fill(1);
     // Rebuild the in-memory dictionaries from the persistent store.
     for (std::size_t level = 0; level < kSidLevels; ++level) {
         const std::string prefix = "sidmap/" + std::to_string(level) + "/";
         for (const auto& [key, value] : meta_.scan_prefix(prefix)) {
-            const std::string component = key.substr(prefix.size());
             const auto id = parse_u64(value);
             if (!id || *id == 0 || *id > 0xFFFF) continue;
-            const auto id16 = static_cast<std::uint16_t>(*id);
-            forward_[level][component] = id16;
-            reverse_[level][id16] = component;
-            if (id16 >= next_id_[level])
-                next_id_[level] = static_cast<std::uint16_t>(id16 + 1);
+            remember(level, key.substr(prefix.size()),
+                     static_cast<std::uint16_t>(*id));
         }
     }
     known_topics_ = meta_.scan_prefix("topics/").size();
+}
+
+void TopicMapper::remember(std::size_t level, const std::string& component,
+                           std::uint16_t id) const {
+    forward_[level][component] = id;
+    reverse_[level][id] = component;
+    // 0xFFFF + 1 wraps to 0: the level is exhausted.
+    if (next_id_[level] != 0 && id >= next_id_[level])
+        next_id_[level] = static_cast<std::uint16_t>(id + 1);
+}
+
+std::uint16_t TopicMapper::find_id(std::size_t level,
+                                   const std::string& component) const {
+    const auto it = forward_[level].find(component);
+    if (it != forward_[level].end()) return it->second;
+    const auto stored = meta_.get(dict_key(level, component));
+    if (!stored) return 0;
+    const auto id = parse_u64(*stored);
+    if (!id || *id == 0 || *id > 0xFFFF)
+        throw Error("corrupt SID dictionary entry " +
+                    dict_key(level, component));
+    remember(level, component, static_cast<std::uint16_t>(*id));
+    return static_cast<std::uint16_t>(*id);
+}
+
+std::uint16_t TopicMapper::allocate_id(std::size_t level,
+                                       const std::string& component) {
+    // Reserve an id through its reverse key first, then bind the name
+    // through its forward key. Both are put-if-absent, so mappers sharing
+    // the MetaStore never hand one id to two names, and the forward key
+    // decides which id a name gets. An id reserved by a mapper that lost
+    // the forward race stays reserved and unused.
+    for (std::uint32_t id = next_id_[level]; id != 0 && id <= 0xFFFF; ++id) {
+        const auto holder = meta_.put_if_absent(
+            rev_key(level, static_cast<std::uint16_t>(id)), component);
+        if (holder && *holder != component) continue;  // id belongs to another
+        next_id_[level] = static_cast<std::uint16_t>(id + 1);
+        if (!meta_.put_if_absent(dict_key(level, component),
+                                 std::to_string(id))) {
+            remember(level, component, static_cast<std::uint16_t>(id));
+            return static_cast<std::uint16_t>(id);
+        }
+        return find_id(level, component);  // the concurrent mapper's id
+    }
+    next_id_[level] = 0;
+    throw Error("hierarchy level " + std::to_string(level) +
+                " dictionary exhausted");
 }
 
 SensorId TopicMapper::to_sid(const std::string& topic) {
@@ -61,28 +105,14 @@ SensorId TopicMapper::to_sid(const std::string& topic) {
     MutexLock lock(mutex_);
     SensorId sid;
     for (std::size_t i = 0; i < levels.size(); ++i) {
-        auto& dict = forward_[i];
-        auto it = dict.find(levels[i]);
-        std::uint16_t id;
-        if (it != dict.end()) {
-            id = it->second;
-        } else {
-            if (next_id_[i] == 0)
-                throw Error("hierarchy level " + std::to_string(i) +
-                            " dictionary exhausted");
-            id = next_id_[i]++;
-            dict.emplace(levels[i], id);
-            reverse_[i].emplace(id, levels[i]);
-            meta_.put(dict_key(i, levels[i]), std::to_string(id));
-            meta_.put(rev_key(i, id), levels[i]);
-        }
+        std::uint16_t id = find_id(i, levels[i]);
+        if (id == 0) id = allocate_id(i, levels[i]);
         sid.set_level(i, id);
     }
     const std::string topic_key = "topics/" + normalized;
-    if (!meta_.contains(topic_key)) {
-        meta_.put(topic_key, sid.hex());
+    if (!meta_.contains(topic_key) &&
+        !meta_.put_if_absent(topic_key, sid.hex()))
         ++known_topics_;
-    }
     return sid;
 }
 
@@ -92,7 +122,13 @@ std::string TopicMapper::to_topic(const SensorId& sid) const {
     for (std::size_t i = 0; i < kSidLevels; ++i) {
         const std::uint16_t id = sid.level(i);
         if (id == 0) break;
-        const auto it = reverse_[i].find(id);
+        auto it = reverse_[i].find(id);
+        if (it == reverse_[i].end()) {
+            // Another mapper may have allocated it: a reverse key only
+            // counts when the forward key binds its name back to `id`.
+            const auto name = meta_.get(rev_key(i, id));
+            if (name && find_id(i, *name) == id) it = reverse_[i].find(id);
+        }
         if (it == reverse_[i].end())
             throw Error("unknown SID component at level " +
                         std::to_string(i));
@@ -109,9 +145,9 @@ bool TopicMapper::lookup(const std::string& topic, SensorId& out) const {
     MutexLock lock(mutex_);
     SensorId sid;
     for (std::size_t i = 0; i < levels.size(); ++i) {
-        const auto it = forward_[i].find(levels[i]);
-        if (it == forward_[i].end()) return false;
-        sid.set_level(i, it->second);
+        const std::uint16_t id = find_id(i, levels[i]);
+        if (id == 0) return false;
+        sid.set_level(i, id);
     }
     out = sid;
     return true;

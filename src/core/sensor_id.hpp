@@ -70,7 +70,12 @@ inline store::Key sensor_key(const SensorId& sid, TimestampNs ts) {
 /// Persistent, bidirectional topic <-> SID dictionary.
 ///
 /// Thread-safe; backed by a MetaStore so the mapping survives restarts
-/// (a requirement for SIDs to be usable as long-term storage keys).
+/// (a requirement for SIDs to be usable as long-term storage keys). The
+/// MetaStore is the authority, the in-memory dictionaries are a cache of
+/// it: several mappers may share one MetaStore (the agent's, and each
+/// libDCDB connection's over the same store) and still agree on every
+/// SID, because a dictionary miss reads the store and a new component id
+/// is claimed there with put-if-absent.
 class TopicMapper {
   public:
     /// `meta` must outlive the mapper; pass a fresh in-memory MetaStore
@@ -91,16 +96,33 @@ class TopicMapper {
     std::size_t known_topics() const DCDB_EXCLUDES(mutex_);
 
   private:
+    /// Id of `component` at `level` from the dictionary, else from the
+    /// MetaStore (another mapper may have allocated it); 0 if unknown.
+    std::uint16_t find_id(std::size_t level,
+                          const std::string& component) const
+        DCDB_REQUIRES(mutex_);
+    /// Claim a new id for `component` at `level` in the MetaStore; when a
+    /// concurrent mapper maps the same component first, its id wins.
+    std::uint16_t allocate_id(std::size_t level, const std::string& component)
+        DCDB_REQUIRES(mutex_);
+    void remember(std::size_t level, const std::string& component,
+                  std::uint16_t id) const DCDB_REQUIRES(mutex_);
+
     store::MetaStore& meta_;
     mutable Mutex mutex_;
-    // Per-level dictionaries. meta_ has its own internal lock; it is
-    // only written while mutex_ is held (dictionary allocation), so the
-    // lock order is always mutex_ -> MetaStore::mutex_.
-    std::array<std::unordered_map<std::string, std::uint16_t>, kSidLevels>
+    // Per-level dictionaries (caches of the MetaStore, hence mutable:
+    // const lookups fill them too). meta_ has its own internal lock and
+    // is only called while mutex_ is held, so the lock order is always
+    // mutex_ -> MetaStore::mutex_.
+    mutable std::array<std::unordered_map<std::string, std::uint16_t>,
+                       kSidLevels>
         forward_ DCDB_GUARDED_BY(mutex_);
-    std::array<std::unordered_map<std::uint16_t, std::string>, kSidLevels>
+    mutable std::array<std::unordered_map<std::uint16_t, std::string>,
+                       kSidLevels>
         reverse_ DCDB_GUARDED_BY(mutex_);
-    std::array<std::uint16_t, kSidLevels> next_id_ DCDB_GUARDED_BY(mutex_){};
+    /// Lowest id worth trying on allocation (0 = level exhausted).
+    mutable std::array<std::uint16_t, kSidLevels> next_id_
+        DCDB_GUARDED_BY(mutex_){};
     std::size_t known_topics_ DCDB_GUARDED_BY(mutex_){0};
 };
 

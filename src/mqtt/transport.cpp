@@ -1,6 +1,8 @@
 #include "mqtt/transport.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -76,17 +78,26 @@ void TcpTransport::close() {
 
 namespace {
 
-/// One direction of an in-proc connection.
+/// One direction of an in-proc connection: bytes [head, data.size()) of
+/// `data` are unread. The buffer is reused once drained, so a consumer
+/// that keeps up moves frames without allocating.
 struct Pipe {
     Mutex mutex;
     CondVar cv;
-    std::deque<std::uint8_t> data DCDB_GUARDED_BY(mutex);
+    std::vector<std::uint8_t> data DCDB_GUARDED_BY(mutex);
+    std::size_t head DCDB_GUARDED_BY(mutex){0};
     bool closed DCDB_GUARDED_BY(mutex){false};
 
     void push(std::span<const std::uint8_t> bytes) DCDB_EXCLUDES(mutex) {
         {
             MutexLock lock(mutex);
             if (closed) throw NetError("in-proc pipe closed");
+            if (head > 0 && head >= data.size() / 2) {
+                // Drop the consumed front before it doubles the buffer.
+                data.erase(data.begin(),
+                           data.begin() + static_cast<std::ptrdiff_t>(head));
+                head = 0;
+            }
             data.insert(data.end(), bytes.begin(), bytes.end());
         }
         cv.notify_one();
@@ -94,12 +105,14 @@ struct Pipe {
 
     std::size_t pop(std::span<std::uint8_t> out) DCDB_EXCLUDES(mutex) {
         MutexLock lock(mutex);
-        while (data.empty() && !closed) cv.wait(mutex);
-        if (data.empty()) return 0;  // closed and drained
-        const std::size_t n = std::min(out.size(), data.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = data.front();
-            data.pop_front();
+        while (head == data.size() && !closed) cv.wait(mutex);
+        if (head == data.size()) return 0;  // closed and drained
+        const std::size_t n = std::min(out.size(), data.size() - head);
+        std::memcpy(out.data(), data.data() + head, n);
+        head += n;
+        if (head == data.size()) {
+            data.clear();
+            head = 0;
         }
         return n;
     }
@@ -148,20 +161,28 @@ make_inproc_pair() {
             std::make_unique<InProcTransport>(b_to_a, a_to_b)};
 }
 
-bool PacketStream::fill() {
-    std::uint8_t tmp[8192];
-    const std::size_t n = transport_->recv(tmp);
-    if (n == 0) return false;
-    buf_.insert(buf_.end(), tmp, tmp + n);
-    return true;
+bool PacketStream::fill(std::size_t want) {
+    constexpr std::size_t kMinRecv = 8192;
+    // Move the unread bytes (less than one frame) to the front, then make
+    // room for `want` of them plus at least one full-size recv.
+    if (pos_ > 0) {
+        std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+        end_ -= pos_;
+        pos_ = 0;
+    }
+    const std::size_t room = std::max(want, end_ + kMinRecv);
+    if (buf_.size() < room) buf_.resize(room);
+    const std::size_t n = transport_->recv(
+        std::span<std::uint8_t>(buf_.data() + end_, buf_.size() - end_));
+    end_ += n;
+    return n > 0;
 }
 
 bool PacketStream::take_byte(std::uint8_t& out) {
-    while (buf_.empty()) {
-        if (!fill()) return false;
+    while (pos_ == end_) {
+        if (!fill(1)) return false;
     }
-    out = buf_.front();
-    buf_.pop_front();
+    out = buf_[pos_++];
     return true;
 }
 
@@ -182,10 +203,13 @@ std::optional<Packet> PacketStream::read_packet() {
     }
     if (remaining > (64u << 20)) throw ProtocolError("packet too large");
 
-    std::vector<std::uint8_t> body(remaining);
-    for (std::size_t i = 0; i < body.size(); ++i) {
-        if (!take_byte(body[i])) throw ProtocolError("EOF in packet body");
+    while (end_ - pos_ < remaining) {
+        if (!fill(remaining)) throw ProtocolError("EOF in packet body");
     }
+    // decode() copies what it keeps straight out of the receive buffer;
+    // the view stays valid until the next fill().
+    const std::span<const std::uint8_t> body(buf_.data() + pos_, remaining);
+    pos_ += remaining;
     return decode(first, body);
 }
 

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 #include <memory>
 #include <span>
 #include <utility>
@@ -77,11 +77,18 @@ class PacketStream {
     void close() { transport_->close(); }
 
   private:
-    bool fill();
+    /// One recv into the buffer, with room for at least `want` unread
+    /// bytes; false on EOF.
+    bool fill(std::size_t want);
     bool take_byte(std::uint8_t& out);
 
     std::unique_ptr<Transport> transport_;
-    std::deque<std::uint8_t> buf_;  // reader-side only (single consumer)
+    // Reader-side only (single consumer): bytes [pos_, end_) of buf_ are
+    // received but unread. buf_ only grows, so a steady stream of frames
+    // no larger than the biggest seen so far never allocates.
+    std::vector<std::uint8_t> buf_;
+    std::size_t pos_{0};
+    std::size_t end_{0};
     // Serializes whole frames onto the (external) transport; the guarded
     // resource is the transport's send half, not an annotatable member.
     Mutex write_mutex_;  // dcdblint: no-guard

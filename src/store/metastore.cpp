@@ -92,6 +92,15 @@ std::optional<std::string> MetaStore::get(const std::string& key) const {
     return it->second;
 }
 
+std::optional<std::string> MetaStore::put_if_absent(const std::string& key,
+                                                    const std::string& value) {
+    MutexLock lock(mutex_);
+    const auto [it, inserted] = map_.try_emplace(key, value);
+    if (!inserted) return it->second;
+    append_record(key, value, /*tombstone=*/false);
+    return std::nullopt;
+}
+
 void MetaStore::erase(const std::string& key) {
     MutexLock lock(mutex_);
     if (map_.erase(key) > 0) append_record(key, "", /*tombstone=*/true);

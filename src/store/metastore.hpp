@@ -32,6 +32,14 @@ class MetaStore {
     std::optional<std::string> get(const std::string& key) const
         DCDB_EXCLUDES(mutex_);
     void erase(const std::string& key) DCDB_EXCLUDES(mutex_);
+
+    /// Atomically store `value` under `key` unless the key exists. Returns
+    /// nullopt when this call stored it, else the value already present
+    /// (which is left untouched). Lets several writers sharing one store
+    /// claim keys without a lock of their own.
+    std::optional<std::string> put_if_absent(const std::string& key,
+                                             const std::string& value)
+        DCDB_EXCLUDES(mutex_);
     bool contains(const std::string& key) const DCDB_EXCLUDES(mutex_);
 
     /// All (key, value) pairs whose key starts with `prefix`, sorted.

@@ -206,6 +206,32 @@ TEST_F(CollectAgentTest, UnmappableBatchSectionDiscardsOnlyItsReadings) {
               2u);
 }
 
+TEST_F(CollectAgentTest, SpellingsOfOneSensorShareItsSidAndLeaf) {
+    CollectAgent agent(parse_config("global { listenTcp false }"),
+                       cluster_.get(), meta_.get());
+    mqtt::MqttClient client(agent.connect_inproc(), "p");
+    client.connect();
+    const std::vector<Reading> first = {{1 * kNsPerSec, 1}};
+    const std::vector<Reading> second = {{2 * kNsPerSec, 2}};
+    const std::vector<Reading> third = {{3 * kNsPerSec, 3}};
+    // Section topics are not MQTT topics, so any spelling reaches the
+    // agent; the registry keys them as received.
+    const std::vector<SensorBatch> both = {{"/a/b", first},
+                                           {"a//b", second}};
+    const std::vector<SensorBatch> again = {{"a//b/", third}};
+    client.publish("/a", encode_batch(both), 1);
+    client.publish("/a", encode_batch(again), 1);
+    client.disconnect();
+
+    EXPECT_EQ(agent.stats().known_sensors, 1u);
+    EXPECT_EQ(agent.hierarchy().sensors_below("/a"),
+              std::vector<std::string>{"/a/b"});
+    const auto rows = agent.query_stored("/a/b", 0, kTimestampMax);
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[2].value, 3);
+    EXPECT_EQ(agent.cache().latest("/a/b")->value, 1);
+}
+
 TEST_F(CollectAgentTest, SidsAreStableAcrossAgentRestarts) {
     SensorId first;
     {

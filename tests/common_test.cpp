@@ -308,13 +308,33 @@ TEST(Random, OuProcessRevertsToMean) {
 }
 
 TEST(ProcMetrics, CpuLoadReflectsBusyWork) {
+    // Spin until the process has burnt a fixed amount of CPU, however
+    // long a loaded machine takes to grant it, and check the CPU the
+    // meter saw: its load times its window. The window lies between
+    // `inner` (read inside it) and `outer` (read around it), which
+    // brackets the meter's CPU without depending on how busy the host
+    // is. The clocks are read to 1 us, hence the slack.
+    constexpr double kWorkNs = 50.0 * kNsPerMs;
+    constexpr double kSlackNs = 2000.0;
+    const std::uint64_t outer_start = steady_ns();
     CpuLoadMeter meter;
-    // Busy-spin ~50ms of CPU.
+    const std::uint64_t cpu_start = sample_self().cpu_ns;
+    const std::uint64_t inner_start = steady_ns();
     volatile double x = 1.0;
-    const auto start = steady_ns();
-    while (steady_ns() - start < 50 * kNsPerMs) x = x * 1.0000001;
+    while (static_cast<double>(sample_self().cpu_ns - cpu_start) < kWorkNs)
+        for (int i = 0; i < 10000; ++i) x = x * 1.0000001;
+    const std::uint64_t inner_end = steady_ns();
     const double load = meter.load_percent();
-    EXPECT_GT(load, 20.0);
+    const std::uint64_t outer_end = steady_ns();
+
+    // At least the spin's CPU, and no more than its window can hold.
+    EXPECT_GE(load / 100.0 * static_cast<double>(outer_end - outer_start),
+              kWorkNs - kSlackNs)
+        << "load " << load << "%";
+    EXPECT_LE(load / 100.0 * static_cast<double>(inner_end - inner_start),
+              static_cast<double>(sample_self().cpu_ns - cpu_start) +
+                  static_cast<double>(inner_start - outer_start) + kSlackNs)
+        << "load " << load << "%";
 }
 
 TEST(ProcMetrics, RssIsNonZero) {

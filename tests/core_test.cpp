@@ -143,6 +143,35 @@ TEST(TopicMapper, ConcurrentMappingIsConsistent) {
     for (int t = 1; t < kThreads; ++t) EXPECT_EQ(results[t], results[0]);
 }
 
+// Two mappers over one MetaStore (the agent's, and a libDCDB connection
+// on the same store) used to keep private dictionaries and id counters:
+// both handed out component id 1 at every level, so /a/x and /b/y got
+// the same SID, and B could not look up what A had persisted.
+TEST(TopicMapper, TwoMappersOnOneMetaStoreAgree) {
+    store::MetaStore meta;
+    TopicMapper a(meta);
+    TopicMapper b(meta);
+    const SensorId ax = a.to_sid("/a/x");
+    const SensorId by = b.to_sid("/b/y");
+    EXPECT_NE(ax, by);
+    EXPECT_NE(ax.level(0), by.level(0));
+    EXPECT_NE(ax.level(1), by.level(1));
+
+    SensorId seen;
+    ASSERT_TRUE(b.lookup("/a/x", seen));
+    EXPECT_EQ(seen, ax);
+    EXPECT_EQ(b.to_topic(ax), "/a/x");
+    EXPECT_EQ(a.to_topic(by), "/b/y");
+    EXPECT_EQ(b.to_sid("/a/x"), ax);
+    EXPECT_EQ(a.to_sid("/b/y"), by);
+
+    // A third mapper opened later sees one consistent dictionary.
+    TopicMapper c(meta);
+    EXPECT_EQ(c.to_sid("/a/x"), ax);
+    EXPECT_EQ(c.to_sid("/b/y"), by);
+    EXPECT_NE(c.to_sid("/c/z"), ax);
+}
+
 TEST(SensorKey, BucketsSplitTimeSeries) {
     SensorId sid;
     sid.set_level(0, 1);

@@ -375,6 +375,11 @@ TEST(Failure, AgentDeadLettersWholeBatchAtomicallyAndRecovers) {
         EXPECT_EQ(stats.readings, 0u);
         EXPECT_TRUE(agent.query_stored("/ok/s", 0, kTimestampMax).empty());
         EXPECT_FALSE(agent.cache().latest("/ok/s").has_value());
+        // Nothing landed, so the sensor is not yet known or browsable,
+        // even though its topic was resolved.
+        EXPECT_EQ(stats.known_sensors, 0u);
+        EXPECT_TRUE(agent.hierarchy().children("/").empty());
+        EXPECT_TRUE(agent.cache().topics().empty());
     }
 
     // A dead-lettered batch must not wedge the pipeline: the next
@@ -390,6 +395,11 @@ TEST(Failure, AgentDeadLettersWholeBatchAtomicallyAndRecovers) {
     EXPECT_EQ(rows[0].ts, 6u);
     ASSERT_TRUE(agent.cache().latest("/ok/s").has_value());
     EXPECT_EQ(agent.cache().latest("/ok/s")->ts, 7u);
+    EXPECT_EQ(stats.known_sensors, 1u);
+    EXPECT_EQ(agent.hierarchy().children("/"),
+              std::vector<std::string>{"ok"});
+    EXPECT_EQ(agent.hierarchy().sensors_below("/"),
+              std::vector<std::string>{"/ok/s"});
 }
 
 // --------------------------------------------- pusher delivery pipeline

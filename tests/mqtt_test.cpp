@@ -3,6 +3,7 @@
 // (Collect Agent) broker mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -216,6 +217,89 @@ TEST(Transport, PacketStreamFramesAcrossChunkBoundaries) {
     const auto second = reader.read_packet();
     ASSERT_TRUE(second.has_value());
     EXPECT_TRUE(std::holds_alternative<Pingreq>(*second));
+}
+
+/// Serves a fixed byte string `chunk` bytes per recv, then EOF.
+class ScriptedTransport final : public Transport {
+  public:
+    ScriptedTransport(std::vector<std::uint8_t> bytes, std::size_t chunk)
+        : bytes_(std::move(bytes)), chunk_(chunk) {}
+
+    void send(std::span<const std::uint8_t>) override {}
+    std::size_t recv(std::span<std::uint8_t> buf) override {
+        const std::size_t n =
+            std::min({chunk_, buf.size(), bytes_.size() - pos_});
+        std::copy_n(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
+                    buf.begin());
+        pos_ += n;
+        return n;
+    }
+    void close() override {}
+
+  private:
+    std::vector<std::uint8_t> bytes_;
+    std::size_t chunk_;
+    std::size_t pos_{0};
+};
+
+std::vector<std::uint8_t> concat(std::initializer_list<Packet> packets) {
+    std::vector<std::uint8_t> out;
+    for (const auto& p : packets) {
+        const auto bytes = encode(p);
+        out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+    return out;
+}
+
+TEST(Transport, PacketStreamReassemblesOneByteRecvs) {
+    Publish big;
+    big.topic = "/x/y";
+    big.qos = 1;
+    big.packet_id = 7;
+    for (int i = 0; i < 20000; ++i)
+        big.payload.push_back(static_cast<std::uint8_t>(i * 31));
+    Publish small;
+    small.topic = "/z";
+    small.payload = {1, 2, 3};
+    PacketStream stream(std::make_unique<ScriptedTransport>(
+        concat({big, Pingreq{}, small}), 1));
+
+    const auto first = stream.read_packet();
+    ASSERT_TRUE(first.has_value());
+    const auto& got = std::get<Publish>(*first);
+    EXPECT_EQ(got.topic, big.topic);
+    EXPECT_EQ(got.packet_id, 7);
+    EXPECT_EQ(got.payload, big.payload);
+    const auto second = stream.read_packet();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_TRUE(std::holds_alternative<Pingreq>(*second));
+    const auto third = stream.read_packet();
+    ASSERT_TRUE(third.has_value());
+    EXPECT_EQ(std::get<Publish>(*third).payload, small.payload);
+    EXPECT_FALSE(stream.read_packet().has_value());  // orderly EOF
+}
+
+TEST(Transport, PacketStreamReportsTruncatedFrames) {
+    Publish p;
+    p.topic = "/x";
+    p.payload.assign(5000, 0x5A);
+    auto cut = encode(p);
+    cut.resize(cut.size() - 100);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
+        PacketStream body_cut(std::make_unique<ScriptedTransport>(cut, chunk));
+        EXPECT_THROW(body_cut.read_packet(), ProtocolError);
+    }
+    // EOF after a continuation byte of the remaining length.
+    PacketStream length_cut(std::make_unique<ScriptedTransport>(
+        std::vector<std::uint8_t>{0x30, 0x80}, 1));
+    EXPECT_THROW(length_cut.read_packet(), ProtocolError);
+    // Five length bytes, and a length over the 64 MiB frame bound.
+    PacketStream too_long(std::make_unique<ScriptedTransport>(
+        std::vector<std::uint8_t>{0x30, 0x80, 0x80, 0x80, 0x80, 0x01}, 1));
+    EXPECT_THROW(too_long.read_packet(), ProtocolError);
+    PacketStream too_large(std::make_unique<ScriptedTransport>(
+        std::vector<std::uint8_t>{0x30, 0xFF, 0xFF, 0xFF, 0x7F}, 1));
+    EXPECT_THROW(too_large.read_packet(), ProtocolError);
 }
 
 // --------------------------------------------------------- client/broker

@@ -14,14 +14,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "collectagent/collect_agent.hpp"
 #include "common/fault.hpp"
+#include "core/payload.hpp"
 #include "core/sensor_cache.hpp"
+#include "core/sensor_id.hpp"
 #include "mqtt/broker.hpp"
 #include "mqtt/client.hpp"
 #include "pusher/sampler.hpp"
@@ -125,6 +130,171 @@ TEST(CacheSetRace, ProducersVersusIterators) {
         ASSERT_FALSE(rows.empty());
         EXPECT_EQ(rows.back().ts, (kPushes - 1) * kNsPerMs);
     }
+}
+
+// ------------------------------------------------------------ TopicMapper
+
+// Two mappers over one MetaStore allocate concurrently: both map the
+// same new topics, and each maps topics only it sees. Every topic must
+// get one SID whichever mapper asks, and distinct topics distinct SIDs —
+// the MetaStore's put-if-absent claims are the only coordination.
+TEST(TopicMapperRace, TwoMappersAllocateSameAndDifferentTopics) {
+    constexpr int kTopics = 40;
+    store::MetaStore meta;
+    TopicMapper first(meta);
+    TopicMapper second(meta);
+    TopicMapper* mappers[2] = {&first, &second};
+
+    std::vector<std::string> shared;
+    std::vector<std::string> own[2];
+    for (int i = 0; i < kTopics; ++i) {
+        shared.push_back("/shared/h" + std::to_string(i % 5) + "/s" +
+                         std::to_string(i));
+        for (int m = 0; m < 2; ++m)
+            own[m].push_back("/own" + std::to_string(m) + "/h" +
+                             std::to_string(i % 3) + "/s" +
+                             std::to_string(i));
+    }
+
+    // Two threads per mapper, walking the lists in opposite orders.
+    std::vector<SensorId> shared_sids[4];
+    std::vector<SensorId> own_sids[4];
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            TopicMapper& mapper = *mappers[t % 2];
+            while (!go.load()) std::this_thread::yield();
+            for (int k = 0; k < kTopics; ++k) {
+                const int i = t < 2 ? k : kTopics - 1 - k;
+                shared_sids[t].push_back(mapper.to_sid(shared[i]));
+                own_sids[t].push_back(mapper.to_sid(own[t % 2][i]));
+            }
+            if (t >= 2) {
+                std::reverse(shared_sids[t].begin(), shared_sids[t].end());
+                std::reverse(own_sids[t].begin(), own_sids[t].end());
+            }
+        });
+    }
+    go.store(true);
+    for (auto& t : threads) t.join();
+
+    std::set<std::string> distinct;
+    for (int i = 0; i < kTopics; ++i) {
+        for (int t = 1; t < 4; ++t)
+            EXPECT_EQ(shared_sids[t][i], shared_sids[0][i]) << shared[i];
+        EXPECT_EQ(own_sids[2][i], own_sids[0][i]) << own[0][i];
+        EXPECT_EQ(own_sids[3][i], own_sids[1][i]) << own[1][i];
+        distinct.insert(shared_sids[0][i].hex());
+        distinct.insert(own_sids[0][i].hex());
+        distinct.insert(own_sids[1][i].hex());
+        // Each mapper resolves what the other allocated, both ways.
+        for (int m = 0; m < 2; ++m) {
+            SensorId seen;
+            ASSERT_TRUE(mappers[1 - m]->lookup(own[m][i], seen));
+            EXPECT_EQ(seen, own_sids[m][i]);
+            EXPECT_EQ(mappers[1 - m]->to_topic(own_sids[m][i]), own[m][i]);
+        }
+    }
+    EXPECT_EQ(distinct.size(), static_cast<std::size_t>(3 * kTopics));
+}
+
+// --------------------------------------------------------- SensorRegistry
+
+// Several in-proc sessions publish batches over overlapping topics at
+// once, so first sights (registry miss, SID allocation, first landing
+// into the hierarchy and cache) race each other and the hit path. Every
+// topic must end with one SID, one hierarchy leaf and every reading.
+TEST(SensorRegistryRace, OverlappingSessionsResolveEachSensorOnce) {
+    constexpr int kSessions = 4;
+    constexpr int kRounds = 20;
+    constexpr int kTopics = 32;
+
+    TempDir dir;
+    store::ClusterConfig config;
+    config.base_dir = dir.str();
+    config.commitlog_enabled = false;
+    store::StoreCluster cluster(config);
+    store::MetaStore meta;
+    collectagent::CollectAgent agent(
+        parse_config("global { listenTcp false }"), &cluster, &meta);
+
+    std::vector<std::string> topics;
+    for (int i = 0; i < kTopics; ++i)
+        topics.push_back("/reg/node" + std::to_string(i % 4) + "/s" +
+                         std::to_string(i));
+
+    std::atomic<bool> go{false};
+    std::vector<std::thread> sessions;
+    for (int s = 0; s < kSessions; ++s) {
+        sessions.emplace_back([&, s] {
+            mqtt::MqttClient client(agent.connect_inproc(),
+                                    "reg" + std::to_string(s));
+            client.connect();
+            while (!go.load()) std::this_thread::yield();
+            for (int r = 0; r < kRounds; ++r) {
+                // Session s covers half the topics per round, starting at
+                // an offset of its own: new and known topics interleave.
+                std::vector<Reading> readings;
+                std::vector<SensorBatch> sections;
+                readings.reserve(kTopics);
+                for (int k = 0; k < kTopics / 2; ++k) {
+                    const int i = (s * 5 + r * 3 + k) % kTopics;
+                    readings.push_back(
+                        {static_cast<TimestampNs>(r * kSessions + s + 1) *
+                             kNsPerMs,
+                         i});
+                    sections.push_back(
+                        {topics[i], std::span<const Reading>(
+                                        &readings.back(), 1)});
+                }
+                client.publish("/reg", encode_batch(sections), 1);
+            }
+            client.disconnect();
+        });
+    }
+    go.store(true);
+    for (auto& t : sessions) t.join();
+
+    // The newest reading of every topic, sent last, is what its cache
+    // shows afterwards.
+    {
+        mqtt::MqttClient client(agent.connect_inproc(), "reg-final");
+        client.connect();
+        std::vector<Reading> readings;
+        std::vector<SensorBatch> sections;
+        readings.reserve(kTopics);
+        for (int i = 0; i < kTopics; ++i) {
+            readings.push_back({kNsPerSec, 1000 + i});
+            sections.push_back(
+                {topics[i], std::span<const Reading>(&readings.back(), 1)});
+        }
+        client.publish("/reg", encode_batch(sections), 1);
+        client.disconnect();
+    }
+
+    const auto stats = agent.stats();
+    EXPECT_EQ(stats.known_sensors, static_cast<std::size_t>(kTopics));
+    EXPECT_EQ(stats.decode_errors, 0u);
+    EXPECT_EQ(stats.readings,
+              static_cast<std::uint64_t>(kSessions * kRounds * kTopics / 2 +
+                                         kTopics));
+    EXPECT_EQ(agent.hierarchy().sensors_below("/reg").size(),
+              static_cast<std::size_t>(kTopics));
+    std::set<std::string> sids;
+    std::size_t stored = 0;
+    for (int i = 0; i < kTopics; ++i) {
+        SensorId sid;
+        ASSERT_TRUE(agent.mapper().lookup(topics[i], sid));
+        sids.insert(sid.hex());
+        stored += agent.query_stored(topics[i], 0, kTimestampMax).size();
+        const auto latest = agent.cache().latest(topics[i]);
+        ASSERT_TRUE(latest.has_value()) << topics[i];
+        EXPECT_EQ(latest->ts, kNsPerSec);
+        EXPECT_EQ(latest->value, 1000 + i);
+    }
+    EXPECT_EQ(sids.size(), static_cast<std::size_t>(kTopics));
+    EXPECT_EQ(stored, stats.readings);
 }
 
 // ----------------------------------------------------------------- Broker
